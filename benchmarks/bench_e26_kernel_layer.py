@@ -1,26 +1,21 @@
-"""E26 — kernel layer: per-kernel hot-path timings, identity, and memory.
+"""E26 — kernel layer: hot-path timings and memory of the numpy kernels.
 
-Measures what the kernel tentpole claims, per available kernel
-(``python`` always; ``numba`` when the ``repro[native]`` extra is
-installed):
+Measures the fast projection engine that the kernel ops in
+:mod:`repro.kernels.pykernels` exist to speed up:
 
 * **fast-engine seconds** on the E22 smoke grid (noisy staircase, k=32) —
   the same points as ``baselines/BENCH_e22_baseline.json``, so the gate
   (``check_kernel_regression.py``) can compute the speedup of the kernel
-  layer over the pre-kernel committed baseline: ≥ 1.5× pure-numpy,
-  ≥ 5× native;
-* **cross-kernel identity** — the projection distance per grid point must
-  agree across kernels to the last bit (max diff exactly 0.0);
+  layer over the pre-kernel committed baseline (≥ 1.5×);
 * **peak memory** — tracemalloc peak of one fast-engine run per n; the
   log-log slope over the grid must stay near-linear (the O(n·k)
   preallocation contract of the sparse table / block kernels — a
   quadratic table would show slope ≈ 2);
 * **serve throughput** — terminal sessions/sec of a small clean drill
-  through the batched final-test path (same numbers at any kernel, the
-  batches just run faster).
+  through the batched final-test path.
 
-Also prints the per-op dispatch table (op / kernel / calls / seconds) from
-the metrics registry — the data behind ``repro test --stage-timings``.
+Also prints the per-op kernel table (op / calls / seconds) from the
+metrics registry — the data behind ``repro test --stage-timings``.
 
 Emits ``BENCH_e26.json`` (gated by ``check_kernel_regression.py`` against
 ``baselines/BENCH_e22_baseline.json`` + ``baselines/BENCH_e26_baseline.json``).
@@ -46,7 +41,7 @@ from _common import WORKERS, check, write_bench_json
 from repro.distributions import families
 from repro.distributions.projection import distance_to_histogram
 from repro.experiments.report import print_experiment
-from repro.kernels import available_kernels, kernel_seconds_snapshot, use_kernel
+from repro.kernels import kernel_seconds_snapshot
 from repro.serve import ChaosConfig, ServiceConfig, TesterService, build_requests
 from repro.serve.session import SessionState
 
@@ -61,7 +56,7 @@ def make_pmf(n: int, k: int) -> np.ndarray:
     return (1.0 - NOISE) * base + NOISE * noise
 
 
-#: Timing reps per (n, kernel).  Background load only ever *inflates* a
+#: Timing reps per n.  Background load only ever *inflates* a
 #: rep, so the per-point minimum converges to true cost from above; the
 #: rep loop runs outermost (interleaved across the whole grid) so one
 #: sustained load burst on a shared host can inflate at most one rep of
@@ -69,29 +64,27 @@ def make_pmf(n: int, k: int) -> np.ndarray:
 REPS = 3
 
 
-def time_fast_once(pmf: np.ndarray, k: int, kernel: str) -> tuple[float, float]:
-    """(seconds, distance) of one fast-engine run under one kernel."""
-    with use_kernel(kernel):
-        start = time.perf_counter()
-        dist = distance_to_histogram(pmf, k, engine="fast")
-        return time.perf_counter() - start, dist
+def time_fast_once(pmf: np.ndarray, k: int) -> tuple[float, float]:
+    """(seconds, distance) of one fast-engine run."""
+    start = time.perf_counter()
+    dist = distance_to_histogram(pmf, k, engine="fast")
+    return time.perf_counter() - start, dist
 
 
-def peak_memory(pmf: np.ndarray, k: int, kernel: str) -> int:
+def peak_memory(pmf: np.ndarray, k: int) -> int:
     """tracemalloc peak (bytes) of one fast-engine run."""
-    with use_kernel(kernel):
-        tracemalloc.start()
-        try:
-            distance_to_histogram(pmf, k, engine="fast")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        distance_to_histogram(pmf, k, engine="fast")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     return int(peak)
 
 
-def serve_throughput(sessions: int, kernel: str) -> tuple[float, int]:
+def serve_throughput(sessions: int) -> tuple[float, int]:
     """(sessions/sec, terminal sessions) of one clean drill."""
-    config = ChaosConfig(sessions=sessions, fault_rate=0.0, seed=26, kernel=kernel)
+    config = ChaosConfig(sessions=sessions, fault_rate=0.0, seed=26)
     service = TesterService(ServiceConfig(workers=WORKERS))
     for request in build_requests(config):
         service.submit(request)
@@ -121,55 +114,35 @@ def main(argv: "list[str] | None" = None) -> int:
 
     sizes = [1 << e for e in (range(8, 12) if args.smoke else range(8, 13))]
     sessions = args.sessions if args.sessions is not None else (8 if args.smoke else 24)
-    kernels = available_kernels()
 
     pmfs = {n: make_pmf(n, args.k) for n in sizes}
-    seconds_by_kernel: dict[str, dict[str, float]] = {
-        k: {str(n): math.inf for n in sizes} for k in kernels
-    }
-    dists_by_n: dict[int, dict[str, float]] = {n: {} for n in sizes}
+    seconds_by_n = {str(n): math.inf for n in sizes}
+    dists_by_n: dict[int, float] = {}
     for _ in range(REPS):
         for n in sizes:
-            for kernel in kernels:
-                secs, dist = time_fast_once(pmfs[n], args.k, kernel)
-                seconds_by_kernel[kernel][str(n)] = min(
-                    seconds_by_kernel[kernel][str(n)], secs
-                )
-                dists_by_n[n][kernel] = dist
+            secs, dists_by_n[n] = time_fast_once(pmfs[n], args.k)
+            seconds_by_n[str(n)] = min(seconds_by_n[str(n)], secs)
 
     rows = []
     peaks_by_n: dict[str, int] = {}
-    max_kernel_diff = 0.0
     for n in sizes:
-        dists = dists_by_n[n]
-        diff = max(dists.values()) - min(dists.values())
-        max_kernel_diff = max(max_kernel_diff, diff)
-        peaks_by_n[str(n)] = peak_memory(pmfs[n], args.k, kernels[-1])
-        row = [n] + [seconds_by_kernel[k][str(n)] for k in kernels]
-        row += [diff, peaks_by_n[str(n)] / 1e6, dists[kernels[0]]]
-        rows.append(row)
+        peaks_by_n[str(n)] = peak_memory(pmfs[n], args.k)
+        rows.append([n, seconds_by_n[str(n)], peaks_by_n[str(n)] / 1e6, dists_by_n[n]])
 
-    columns = (
-        ["n"] + [f"{k} s" for k in kernels] + ["|kdiff|", "peak MB", "distance"]
-    )
-    print_experiment(
-        f"E26: kernel layer (k={args.k}, kernels={','.join(kernels)})",
-        columns,
-        rows,
-    )
+    columns = ["n", "fast s", "peak MB", "distance"]
+    print_experiment(f"E26: kernel layer (k={args.k})", columns, rows)
 
     mem_slope = loglog_slope(
         [float(n) for n in sizes], [float(peaks_by_n[str(n)]) for n in sizes]
     )
-    throughput, terminal = serve_throughput(sessions, kernels[-1])
+    throughput, terminal = serve_throughput(sessions)
 
     print(f"  peak-memory log-log slope: {mem_slope:.2f} (O(n*k) => ~1)")
     print(f"  serve throughput: {throughput:.2f} sessions/s ({terminal} terminal)")
-    print("  kernel dispatches (op / kernel / calls / seconds):")
-    for op, kernel, calls, secs in kernel_seconds_snapshot():
-        print(f"    {op:<28} {kernel:<8} {calls:>9,} calls  {secs:>9.4f}s")
+    print("  kernel ops (op / calls / seconds):")
+    for op, _, calls, secs in kernel_seconds_snapshot():
+        print(f"    {op:<28} {calls:>9,} calls  {secs:>9.4f}s")
 
-    check("cross-kernel identity (diff == 0)", max_kernel_diff == 0.0)
     check("memory near-linear in n (slope <= 1.5)", mem_slope <= 1.5)
     check("all drill sessions terminal", terminal == sessions)
 
@@ -182,20 +155,13 @@ def main(argv: "list[str] | None" = None) -> int:
             "noise": NOISE,
             "smoke": bool(args.smoke),
             "sessions": sessions,
-            "kernels": list(kernels),
         },
         columns=columns,
         rows=rows,
         metrics={
-            # Same key layout as BENCH_e22 so the speedup gate can divide
-            # the committed pre-kernel baseline by these, per kernel.
-            "fast_seconds_by_n_python": seconds_by_kernel["python"],
-            **(
-                {"fast_seconds_by_n_numba": seconds_by_kernel["numba"]}
-                if "numba" in seconds_by_kernel
-                else {}
-            ),
-            "max_kernel_diff": max_kernel_diff,
+            # Same key layout as BENCH_e26_baseline.json (the drift gate)
+            # and divisible by BENCH_e22's times (the speedup gate).
+            "fast_seconds_by_n_python": seconds_by_n,
             "peak_bytes_by_n": peaks_by_n,
             "peak_memory_slope": mem_slope,
             "serve_sessions_per_sec": throughput,

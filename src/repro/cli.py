@@ -53,7 +53,7 @@ from repro.experiments.report import format_table
 from repro.experiments.runner import acceptance_probability
 from repro.experiments.sweeps import HistogramTester, complexity_sweep
 from repro.experiments.workloads import REGISTRY, BoundWorkload, make
-from repro.kernels import KERNELS, kernel_seconds_snapshot, resolve_kernel
+from repro.kernels import kernel_seconds_snapshot
 from repro.learning.model_selection import select_k
 from repro.observability.trace import (
     NULL_TRACER,
@@ -86,19 +86,11 @@ def _add_common(
         "(execution knob only; never changes the verdict)",
     )
     parser.add_argument(
-        "--kernel",
-        choices=list(KERNELS),
-        default="auto",
-        help="compute kernels for the hot loops (auto | python | numba; "
-        "execution knob only — bit-identical results; REPRO_KERNEL "
-        "overrides the default)",
-    )
-    parser.add_argument(
         "--backend",
         choices=list(backends),
         default=DEFAULT_BACKEND,
         help="tester backend (changes budgets and verdicts; part of sweep "
-        "fingerprints, unlike --engine/--kernel/--workers)",
+        "fingerprints, unlike --engine/--workers)",
     )
 
 
@@ -151,14 +143,15 @@ def _print_stage_table(verdict) -> None:
 
 
 def _print_kernel_table() -> None:
-    """Per-op dispatch accounting from the metrics registry: which kernel
-    ran each hot loop, how many times, and for how long."""
+    """Per-op kernel accounting from the metrics registry: how many times
+    each hot loop ran, and for how long."""
+    print("kernel ops (op / calls / seconds):")
     rows = kernel_seconds_snapshot()
     if not rows:
-        print("  (no kernel dispatches recorded)")
+        print("  (no kernel calls recorded)")
         return
-    for op, kernel, calls, seconds in rows:
-        print(f"  {op:<28} {kernel:<8} {calls:>9,} calls  {seconds:>9.4f}s")
+    for op, _, calls, seconds in rows:
+        print(f"  {op:<28} {calls:>9,} calls  {seconds:>9.4f}s")
 
 
 def _cmd_test(args: argparse.Namespace) -> int:
@@ -166,18 +159,15 @@ def _cmd_test(args: argparse.Namespace) -> int:
     tracer = RecordingTracer() if args.trace else NULL_TRACER
     verdict = test_histogram(
         dist, args.k, args.eps, config=_config(args), rng=args.seed + 1,
-        backend=args.backend, projection_engine=args.engine, kernel=args.kernel,
-        trace=tracer,
+        backend=args.backend, projection_engine=args.engine, trace=tracer,
     )
     print(f"workload  : {args.workload} ({REGISTRY[args.workload].nature})")
     print(f"backend   : {args.backend}")
-    print(f"kernel    : {args.kernel} (resolved: {resolve_kernel(args.kernel)})")
     print(f"verdict   : {'ACCEPT' if verdict.accept else 'REJECT'} (stage: {verdict.stage})")
     print(f"reason    : {verdict.reason}")
     print(f"samples   : {verdict.samples_used:,}")
     _print_stage_table(verdict)
     if args.stage_timings:
-        print("kernel dispatches (op / kernel / calls / seconds):")
         _print_kernel_table()
     if args.trace:
         write_jsonl(args.trace, tracer.export())
@@ -193,11 +183,10 @@ def _cmd_closeness(args: argparse.Namespace) -> int:
     tracer = RecordingTracer() if args.trace else NULL_TRACER
     verdict = test_closeness(
         p, q, args.k, args.eps, config=_config(args), rng=args.seed + 1,
-        kernel=args.kernel, trace=tracer,
+        trace=tracer,
     )
     nature = CLOSENESS_REGISTRY[args.workload].nature
     print(f"workload  : {args.workload} ({nature})")
-    print(f"kernel    : {args.kernel} (resolved: {resolve_kernel(args.kernel)})")
     print(f"verdict   : {'ACCEPT' if verdict.accept else 'REJECT'} (stage: {verdict.stage})")
     print(f"reason    : {verdict.reason}")
     print(f"samples   : {verdict.samples_used:,} "
@@ -206,7 +195,6 @@ def _cmd_closeness(args: argparse.Namespace) -> int:
     print(f"budget    : {budget:,.0f} (worst case, both streams)")
     _print_stage_table(verdict)
     if args.stage_timings:
-        print("kernel dispatches (op / kernel / calls / seconds):")
         _print_kernel_table()
     if args.trace:
         write_jsonl(args.trace, tracer.export())
@@ -219,7 +207,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
     result = select_k(
         dist, args.eps, k_max=args.k_max, repeats=args.repeats,
         config=_config(args), rng=args.seed + 1, backend=args.backend,
-        projection_engine=args.engine, kernel=args.kernel,
+        projection_engine=args.engine,
     )
     print(f"workload   : {args.workload}")
     print(f"selected k : {result.k}")
@@ -254,9 +242,7 @@ def _cmd_budget(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     workload = BoundWorkload(args.workload, args.n, args.k, args.eps)
-    tester = HistogramTester(
-        args.k, args.eps, _config(args), args.backend, args.kernel
-    )
+    tester = HistogramTester(args.k, args.eps, _config(args), args.backend)
 
     def timed(workers: int | None):
         start = time.perf_counter()
@@ -277,13 +263,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         verdict = test_histogram(
             workload(gen), args.k, args.eps, config=_config(args),
             rng=args.seed, backend=args.backend, projection_engine=args.engine,
-            kernel=args.kernel,
         )
         print(f"stage timings (1 representative trial, "
-              f"backend={args.backend}, engine={args.engine}, "
-              f"kernel={args.kernel}):")
+              f"backend={args.backend}, engine={args.engine}):")
         _print_stage_table(verdict)
-        print("kernel dispatches (op / kernel / calls / seconds):")
         _print_kernel_table()
     if args.compare_serial:
         serial_estimate, serial_elapsed = timed(None)
@@ -343,7 +326,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             args.store,
             processes=args.worker_procs,
             lease_seconds=args.lease_seconds,
-            kernel=args.kernel,
             resume=args.resume,
             trace=tracer if args.trace else None,
         )
@@ -370,7 +352,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         resume=args.resume,
         workers=args.workers,
         backend=args.backend,
-        kernel=args.kernel,
         task=args.task,
         trace=tracer,
     )
@@ -394,7 +375,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         fault_rate=args.fault_rate if args.chaos else 0.0,
         seed=args.seed,
         backend=args.backend,
-        kernel=args.kernel,
     )
     service = TesterService(ServiceConfig(tester=_config(args), workers=args.workers))
     # SIGTERM/SIGINT drain: in-flight sessions finish, the queue is shed,
@@ -459,7 +439,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         lease_seconds=args.lease_seconds,
         poll_seconds=args.poll_seconds,
         max_shards=args.max_shards,
-        kernel=args.kernel,
         workers=args.workers,
         chaos=chaos,
     )
@@ -539,8 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stage-timings",
         action="store_true",
         default=False,
-        help="also print the per-op kernel dispatch breakdown "
-        "(which kernel ran each hot loop, calls, seconds)",
+        help="also print the per-op kernel breakdown (calls, seconds)",
     )
     _add_trace(p_test)
     p_test.set_defaults(func=_cmd_test)
@@ -565,16 +543,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="constant profile (paper = literal worst-case constants)",
     )
     p_close.add_argument(
-        "--kernel",
-        choices=list(KERNELS),
-        default="auto",
-        help="compute kernels (execution knob only — bit-identical results)",
-    )
-    p_close.add_argument(
         "--stage-timings",
         action="store_true",
         default=False,
-        help="also print the per-op kernel dispatch breakdown",
+        help="also print the per-op kernel breakdown (calls, seconds)",
     )
     _add_trace(p_close)
     p_close.set_defaults(func=_cmd_closeness)
@@ -729,10 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker.add_argument(
         "--max-shards", type=int, default=None,
         help="exit after committing this many shards (default: run to finish)",
-    )
-    p_worker.add_argument(
-        "--kernel", choices=list(KERNELS), default="auto",
-        help="compute kernels (execution knob — bit-identical results)",
     )
     _add_workers(p_worker)
     p_worker.add_argument("--chaos-seed", type=int, default=0)

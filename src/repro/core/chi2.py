@@ -30,7 +30,7 @@ import numpy as np
 from repro.distributions.discrete import DiscreteDistribution
 from repro.distributions.histogram import Histogram
 from repro.distributions.sampling import SampleSource
-from repro.kernels import dispatch
+from repro.kernels import pykernels
 from repro.util.intervals import Partition
 
 
@@ -82,11 +82,8 @@ def chi2_point_terms(
     per-stream ``m`` of shape ``(streams, 1, 1)``, computing every session's
     terms in one vectorized pass.  The arithmetic is elementwise, so the
     stacked result is bit-identical to the per-stream loop.
-
-    Dispatches on the thread's current kernel (``chi2.point_terms`` op);
-    the python and numba implementations are bit-identical.
     """
-    return dispatch("chi2.point_terms")(counts, m, reference_pmf, mask)
+    return pykernels.chi2_point_terms(counts, m, reference_pmf, mask)
 
 
 def interval_statistics(
@@ -155,7 +152,7 @@ def median_interval_statistics(
     if m <= 0:
         raise ValueError("expected sample size must be positive")
     terms = chi2_point_terms(counts, m, ref, mask)
-    batches = dispatch("serve.aggregate_rows")(terms, partition.boundaries[:-1])
+    batches = pykernels.aggregate_rows(terms, partition.boundaries[:-1])
     return np.median(batches, axis=0)
 
 
@@ -172,11 +169,8 @@ def paired_point_terms(
     standard deviation at most ``√(2B)`` — no centering constant to
     calibrate.  When ``dTV(p, q) ≥ ε`` and cell masses are not tiny,
     ``E[Z] ≈ m·Σ (p−q)²/(p+q) ≥ 2·m·ε²`` by Cauchy–Schwarz.
-
-    Dispatches on the thread's current kernel (``chi2.paired_point_terms``
-    op); the python and numba implementations are bit-identical.
     """
-    return dispatch("chi2.paired_point_terms")(counts_x, counts_y, mask)
+    return pykernels.chi2_paired_point_terms(counts_x, counts_y, mask)
 
 
 def median_paired_interval_statistics(
@@ -208,8 +202,8 @@ def median_paired_interval_statistics(
     if mask.shape != (len(partition),):
         raise ValueError("mask must cover the partition's intervals")
     starts = partition.boundaries[:-1]
-    interval_x = dispatch("serve.aggregate_rows")(counts_x, starts)
-    interval_y = dispatch("serve.aggregate_rows")(counts_y, starts)
+    interval_x = pykernels.aggregate_rows(counts_x, starts)
+    interval_y = pykernels.aggregate_rows(counts_y, starts)
     terms = paired_point_terms(interval_x, interval_y, mask)
     return np.median(terms, axis=0)
 

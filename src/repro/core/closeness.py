@@ -60,7 +60,6 @@ from repro.core.tester import _finish, _StageLog
 from repro.distributions.discrete import DiscreteDistribution
 from repro.distributions.histogram import Histogram
 from repro.distributions.sampling import PairedSampleSource, SampleSource
-from repro.kernels import use_kernel, validate_kernel
 from repro.observability.ledger import SampleLedger
 from repro.observability.metrics import get_metrics
 from repro.observability.trace import NULL_TRACER, Tracer
@@ -230,7 +229,6 @@ class ClosenessPipeline:
         *,
         config: TesterConfig | None = None,
         rng: RandomState = None,
-        kernel: str = "auto",
         trace: Tracer = NULL_TRACER,
     ) -> None:
         if k < 1:
@@ -240,7 +238,6 @@ class ClosenessPipeline:
         self.k = k
         self.eps = eps
         self.config = config if config is not None else TesterConfig.practical()
-        self.kernel = validate_kernel(kernel)
         self.trace = trace
         self.pair = as_paired_source(p, q, rng)
         self.n = self.pair.n
@@ -261,9 +258,9 @@ class ClosenessPipeline:
 
     # -- admission metadata --------------------------------------------------
 
-    def budget_cap(self) -> int | None:
-        """The joint sample cap for this instance (``None`` only when the
-        trivial ``n = 1`` regime applies)."""
+    def budget_cap(self) -> int:
+        """The joint sample cap for this instance (``0`` in the trivial
+        ``n = 1`` regime, which draws nothing)."""
         if self.n <= 1:
             return 0
         return int(math.ceil(closeness_budget(self.n, self.k, self.eps, self.config)))
@@ -311,7 +308,7 @@ class ClosenessPipeline:
         """
         if self._degenerate:
             return
-        with self._log.stage("partition", b=int(self._b)) as span, use_kernel(self.kernel):
+        with self._log.stage("partition", b=int(self._b)) as span:
             self.partition = approx_partition(
                 _UnionDraw(self.pair),
                 self._b,
@@ -324,7 +321,7 @@ class ClosenessPipeline:
         if self._degenerate:
             return
         num_samples = self.config.learner_samples(len(self.partition), self.eps)
-        with self._log.stage("learn"), use_kernel(self.kernel):
+        with self._log.stage("learn"):
             self.learned_p = learn_histogram(
                 self.pair.p, self.partition, num_samples, self.trace
             )
@@ -354,7 +351,7 @@ class ClosenessPipeline:
                 final_statistic=float("nan"),
             )
             return None
-        with self._log.stage("sieve") as span, use_kernel(self.kernel):
+        with self._log.stage("sieve") as span:
             self.sieve_p = sieve_intervals(
                 self.pair.p, self.learned_p, self.k, self.eps, self.config, self.trace
             )
@@ -392,7 +389,7 @@ class ClosenessPipeline:
         kept = self.kept_intervals
         kept_points = self.partition.restrict_mask(list(np.flatnonzero(kept)))
         tolerance = self.config.closeness_check_tolerance(self.eps)
-        with self._log.stage("check") as span, use_kernel(self.kernel):
+        with self._log.stage("check") as span:
             diff = np.abs(self.learned_p.to_pmf() - self.learned_q.to_pmf())
             distance = 0.5 * float(diff[kept_points].sum())
             close = distance <= tolerance
@@ -444,10 +441,9 @@ class ClosenessPipeline:
         """
         plan = self._plan
         counts_p, counts_q = [], []
-        with use_kernel(self.kernel):
-            for _ in range(plan.repeats):
-                counts_p.append(self.pair.p.draw_counts_poissonized(plan.m))
-                counts_q.append(self.pair.q.draw_counts_poissonized(plan.m))
+        for _ in range(plan.repeats):
+            counts_p.append(self.pair.p.draw_counts_poissonized(plan.m))
+            counts_q.append(self.pair.q.draw_counts_poissonized(plan.m))
         return np.stack(counts_p), np.stack(counts_q)
 
     def finish_final_test(self, z_per_interval: np.ndarray) -> ClosenessVerdict:
@@ -519,10 +515,9 @@ class ClosenessPipeline:
             plan = self.begin_final_test()
             try:
                 counts_p, counts_q = self.draw_final_counts()
-                with use_kernel(self.kernel):
-                    z = median_paired_interval_statistics(
-                        counts_p, counts_q, self.partition, plan.mask
-                    )
+                z = median_paired_interval_statistics(
+                    counts_p, counts_q, self.partition, plan.mask
+                )
             except BaseException:
                 self.close_final_test()
                 raise
@@ -567,7 +562,6 @@ def test_closeness(
     *,
     config: TesterConfig | None = None,
     rng: RandomState = None,
-    kernel: str = "auto",
     trace: Tracer = NULL_TRACER,
 ) -> ClosenessVerdict:
     """Test whether two unknown k-histogram distributions are equal.
@@ -590,9 +584,6 @@ def test_closeness(
         The TV-distance proximity parameter.
     config:
         Constant profile; defaults to :meth:`TesterConfig.practical`.
-    kernel:
-        Execution knob ("auto" | "python" | "numba") — verdict-invariant,
-        never fingerprinted.
     trace:
         Observability sink; one span per stage plus a final ``ledger``
         event reconciling the joint draws of both streams.
@@ -610,7 +601,6 @@ def test_closeness(
         eps,
         config=config,
         rng=rng,
-        kernel=kernel,
         trace=trace,
     )
     with trace.span(
@@ -643,7 +633,6 @@ class ClosenessTester:
         k: int,
         eps: float,
         config: TesterConfig | None = None,
-        kernel: str = "auto",
     ) -> None:
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
@@ -652,7 +641,6 @@ class ClosenessTester:
         self.k = k
         self.eps = eps
         self.config = config if config is not None else TesterConfig.practical()
-        self.kernel = validate_kernel(kernel)
 
     def test(
         self,
@@ -669,7 +657,6 @@ class ClosenessTester:
             self.eps,
             config=self.config,
             rng=rng,
-            kernel=self.kernel,
             trace=trace,
         )
 

@@ -76,10 +76,15 @@ _AUTO_FAST_THRESHOLD = 512
 _ENGINES = ("auto", "fast", "dense")
 
 
-def _resolve_engine(engine: str, n: int) -> str:
+def validate_engine(engine: str) -> str:
+    """Check the projection-engine spelling; returns ``engine`` unchanged."""
     if engine not in _ENGINES:
         raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
-    if engine == "auto":
+    return engine
+
+
+def _resolve_engine(engine: str, n: int) -> str:
+    if validate_engine(engine) == "auto":
         return "dense" if n <= _AUTO_FAST_THRESHOLD else "fast"
     return engine
 

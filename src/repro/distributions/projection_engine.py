@@ -26,9 +26,8 @@ by the set bits of ``x``; each level stores its blocks sorted by
 bits and misclassify values within a few ulp of ``μ``) together with
 running sums of the masked weights in that order.  The tree is stored as
 flat arrays with per-level key offsets so a batched query across *all*
-levels of *all* queries is a single ``searchsorted`` (python kernel) or a
-jitted per-query bisect loop (numba kernel) — O(log n) amortised per
-interval after an O(n log² n) preprocess.  The
+levels of *all* queries is a single ``searchsorted`` — O(log n) amortised
+per interval after an O(n log² n) preprocess.  The
 median (unconstrained ℓ1) variant binary-searches the weighted lower
 median over global value ranks with the same primitive, matching the
 dense two-heap tracker's lower-median convention.
@@ -72,17 +71,21 @@ verified candidates resolve to the smallest ``i``, matching the dense
 O(n log n) for the tree and tables.
 
 The hot primitives — rank-tree build/query, aligned-block cost tables, the
-canonical cover walk, per-segment first-minima — live in
-:mod:`repro.kernels` and dispatch on the fingerprint-safe ``kernel`` knob
-(``python``/``numba``); both implementations of every op are bit-identical,
-so the engine's results are independent of the kernel in use.
+canonical cover walk, per-segment first-minima — are the metered numpy
+ops of :mod:`repro.kernels.pykernels`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import dispatch, resolve_kernel
+from repro.kernels.pykernels import (
+    build_block_tables,
+    build_rank_tree,
+    cover_walk,
+    rank_interval_stats,
+    segment_first_min,
+)
 from repro.observability.metrics import get_metrics
 
 #: Per-layer exactness slack of the verification pass; total error over a
@@ -117,7 +120,7 @@ class _PairCostCache:
     layer-independent, so a small cache recovers most of that work.
     Direct-mapped with the stored key as the collision check: a hit
     returns the *exact* float computed earlier (never an approximation),
-    so results — and cross-kernel bit-identity — are unchanged; a
+    so results are unchanged; a
     collision simply overwrites (stale entries cost a re-evaluation, not
     correctness).  The table is sized O(n) (512 slots per element, capped
     at 2²⁰ → ≤ 16 MB), which preserves the engine's O(n·k) peak-memory
@@ -167,9 +170,6 @@ class IntervalCostOracle:
     optimum over constants (weighted lower median).  ``mean_numerator``
     optionally overrides the per-element numerator of the mean (the coarse
     path passes interval masses so ``μ`` matches the dense build bitwise).
-    ``kernel`` selects the implementation family for the hot primitives
-    (resolved once at construction; ``None`` follows the thread's current
-    kernel) — results are bit-identical across kernels.
     """
 
     def __init__(
@@ -179,7 +179,6 @@ class IntervalCostOracle:
         mask: np.ndarray,
         *,
         mean_numerator: np.ndarray | None = None,
-        kernel: str | None = None,
     ):
         v = np.ascontiguousarray(values, dtype=np.float64)
         w = np.ascontiguousarray(weights, dtype=np.float64)
@@ -190,7 +189,6 @@ class IntervalCostOracle:
         if n and float(w.min()) <= 0.0:
             raise ValueError("weights must be strictly positive")
         self.n = n
-        self.kernel = resolve_kernel(kernel)
         num = w * v if mean_numerator is None else np.asarray(mean_numerator, np.float64)
         wm = np.where(m, w, 0.0)
         wvm = wm * v
@@ -198,9 +196,7 @@ class IntervalCostOracle:
         self._num_pre = np.concatenate(([0.0], np.cumsum(num)))
         self._mw_pre = np.concatenate(([0.0], np.cumsum(wm)))
         self._mwv_pre = np.concatenate(([0.0], np.cumsum(wvm)))
-        self._tree = dispatch("rank_tree.build", self.kernel)(v, wm, wvm)
-        self._prefix_stats = dispatch("rank_tree.prefix_stats", self.kernel)
-        self._interval_stats = dispatch("rank_tree.interval_stats", self.kernel)
+        self._tree = build_rank_tree(v, wm, wvm)
         self._st_hi = _sparse_table(np.where(m, v, -np.inf), np.maximum)
         self._st_lo = _sparse_table(np.where(m, v, np.inf), np.minimum)
         masked_w = w[m]
@@ -208,10 +204,9 @@ class IntervalCostOracle:
         # Flat per-level aligned-block cost tables (preallocated build; the
         # padded 2-D prefix lets a per-pair, length-adaptive level be
         # gathered in one fancy-index).
-        self._bc_flat, self._bc_off, self._block_prefix2d, self._bc_levels = dispatch(
-            "blocks.build", self.kernel
-        )(v, wm)
-        self._cover_walk = dispatch("blocks.cover_walk", self.kernel)
+        self._bc_flat, self._bc_off, self._block_prefix2d, self._bc_levels = (
+            build_block_tables(v, wm)
+        )
         self._cost_cache: dict[str, _PairCostCache] = {}
 
     # -- admissible lower bound ------------------------------------------
@@ -235,7 +230,7 @@ class IntervalCostOracle:
         """Sum of per-block optimal ℓ1 costs over the canonical segment-tree
         cover of ``[a, b)`` — superadditivity makes it a lower bound on both
         objectives, with no edge slack."""
-        return self._cover_walk(self._bc_flat, self._bc_off, self._bc_levels, a, b)
+        return cover_walk(self._bc_flat, self._bc_off, self._bc_levels, a, b)
 
     def aligned_lower_bound(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Sum of aligned-block costs fully inside ``[a, b)`` at a per-pair
@@ -272,7 +267,7 @@ class IntervalCostOracle:
         """Masked ℓ1 error of ``[a, b)`` against per-interval constant ``c``,
         given the rank cut-off for strict (< c) membership.  Elements equal
         to ``c`` contribute zero either side, so the strict cut suffices."""
-        w_lt, wv_lt = self._interval_stats(self._tree, a, b, L_lt)
+        w_lt, wv_lt = rank_interval_stats(self._tree, a, b, L_lt)
         mw = self._mw_pre[b] - self._mw_pre[a]
         mwv = self._mwv_pre[b] - self._mwv_pre[a]
         below = c * w_lt - wv_lt
@@ -289,7 +284,7 @@ class IntervalCostOracle:
         the misses and splicing in previously computed values changes
         nothing but the work done.  Eval order is deterministic, hence so
         is the cache state — verdicts and traces are byte-identical with
-        or without hits, across kernels, and across replays.
+        or without hits, and across replays.
         """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
@@ -347,7 +342,7 @@ class IntervalCostOracle:
             if run.size == 0:
                 break
             mid = (lo[run] + hi[run]) >> 1
-            wle, _ = self._interval_stats(self._tree, aa[run], bb[run], mid + 1)
+            wle, _ = rank_interval_stats(self._tree, aa[run], bb[run], mid + 1)
             reach = wle >= half[run]
             hi[run[reach]] = mid[reach]
             lo[run[~reach]] = mid[~reach] + 1
@@ -361,7 +356,7 @@ class IntervalCostOracle:
 # ---------------------------------------------------------------------------
 
 
-def _dc_upper_bound(f_prev, cost_fn, n, seg_min):
+def _dc_upper_bound(f_prev, cost_fn, n):
     """Breadth-first D&C pass: upper bounds + candidate parents per ``j``."""
     g = np.empty(n + 1, dtype=np.float64)
     par = np.zeros(n + 1, dtype=np.int64)
@@ -378,7 +373,7 @@ def _dc_upper_bound(f_prev, cost_fn, n, seg_min):
         i_arr = np.repeat(ilo - starts, counts) + np.arange(total, dtype=np.int64)
         j_arr = np.repeat(jm, counts)
         vals = f_prev[i_arr] + cost_fn(i_arr, j_arr)
-        mins, argi = seg_min(vals, starts, i_arr)
+        mins, argi = segment_first_min(vals, starts, i_arr)
         g[jm] = mins
         par[jm] = argi
         left = jm - 1 >= jlo
@@ -395,7 +390,7 @@ def _dc_upper_bound(f_prev, cost_fn, n, seg_min):
 _POLISH_SWEEPS = 1
 
 
-def _polish_upper_bound(f_prev, g, par, cost_fn, n, seg_min, prev_par=None):
+def _polish_upper_bound(f_prev, g, par, cost_fn, n, prev_par=None):
     """Cheap post-D&C polish of the upper bound: for every ``j`` probe the
     neighbours' incumbent split points, the previous layer's parent, and
     geometric offsets around the incumbent, keeping ``g``/``par`` admissible
@@ -431,7 +426,7 @@ def _polish_upper_bound(f_prev, g, par, cost_fn, n, seg_min, prev_par=None):
         j_arr = np.repeat(j, counts)
         starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
         vals = f_prev[i_arr] + cost_fn(i_arr, j_arr)
-        val_min, i_min = seg_min(vals, starts, i_arr)
+        val_min, i_min = segment_first_min(vals, starts, i_arr)
         better = (val_min < g) | ((val_min == g) & (i_min < par))
         g[better] = val_min[better]
         par[better] = i_min[better]
@@ -448,7 +443,7 @@ def _dp_refine_layers(r: int) -> list[int]:
     return ms
 
 
-def _verify_layer(fs, g, par, oracle, cost_fn, tol, seg_min):
+def _verify_layer(fs, g, par, oracle, cost_fn, tol):
     """Exactness pass: evaluate every candidate whose admissible lower bound
     beats ``g − tol``; updates ``g``/``par`` in place.
 
@@ -530,7 +525,7 @@ def _verify_layer(fs, g, par, oracle, cost_fn, tol, seg_min):
             if len(i_arr):
                 vals = f_prev[i_arr] + cost_fn(i_arr, j_arr)
                 ju, starts = np.unique(j_arr, return_index=True)
-                mins, argi = seg_min(vals, starts, i_arr)
+                mins, argi = segment_first_min(vals, starts, i_arr)
                 better = (mins < g[ju]) | ((mins == g[ju]) & (argi < par[ju]))
                 g[ju[better]] = mins[better]
                 par[ju[better]] = argi[better]
@@ -548,7 +543,6 @@ def project_intervals(
     tol: float = DEFAULT_TOL,
     return_profile: bool = False,
     mean_numerator=None,
-    kernel: str | None = None,
 ):
     """Minimise the total interval cost of splitting ``[0, n)`` into at most
     ``pieces`` intervals; the fast equivalent of building a dense cost
@@ -566,14 +560,10 @@ def project_intervals(
     pieces = min(int(pieces), n)
     if pieces < 1:
         raise ValueError(f"need at least one piece, got {pieces}")
-    kernel = resolve_kernel(kernel)
-    oracle = IntervalCostOracle(
-        v, weights, mask, mean_numerator=mean_numerator, kernel=kernel
-    )
+    oracle = IntervalCostOracle(v, weights, mask, mean_numerator=mean_numerator)
     cost_fn = (
         oracle.flattening_costs if objective == "flattening" else oracle.median_costs
     )
-    seg_min = dispatch("dp.segment_first_min", kernel)
     f = np.full(n + 1, np.inf)
     f[0] = 0.0
     fs = [f]
@@ -581,9 +571,9 @@ def project_intervals(
     profile = np.empty(pieces, dtype=np.float64)
     prev_par = None
     for r in range(pieces):
-        g, par = _dc_upper_bound(f, cost_fn, n, seg_min)
-        _polish_upper_bound(f, g, par, cost_fn, n, seg_min, prev_par)
-        _verify_layer(fs, g, par, oracle, cost_fn, tol, seg_min)
+        g, par = _dc_upper_bound(f, cost_fn, n)
+        _polish_upper_bound(f, g, par, cost_fn, n, prev_par)
+        _verify_layer(fs, g, par, oracle, cost_fn, tol)
         f = g
         fs.append(f)
         prev_par = par

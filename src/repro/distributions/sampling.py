@@ -20,21 +20,17 @@ import math
 import numpy as np
 
 from repro.distributions.discrete import DiscreteDistribution
+from repro.kernels import pykernels
 from repro.util.rng import RandomState, child_rng, ensure_rng
 
 
 def counts_from_samples(samples: np.ndarray, n: int) -> np.ndarray:
-    """Occurrence counts ``N_i`` over the domain ``{0, …, n-1}``.
-
-    Counting dispatches on the current kernel (``sampling.counts_from_samples``
-    op) — integer-exact either way, so the knob cannot affect results.
-    """
-    from repro.kernels import dispatch
-
+    """Occurrence counts ``N_i`` over the domain ``{0, …, n-1}``
+    (metered as the ``sampling.counts_from_samples`` kernel op)."""
     samples = np.asarray(samples, dtype=np.int64)
     if len(samples) and (samples.min() < 0 or samples.max() >= n):
         raise ValueError("samples outside the domain")
-    return dispatch("sampling.counts_from_samples")(samples, n)
+    return pykernels.counts_from_samples(samples, n)
 
 
 def charge_units(m: float) -> int:

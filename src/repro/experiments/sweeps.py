@@ -23,7 +23,6 @@ from repro.core.tester import test_histogram
 from repro.distributions import families
 from repro.distributions.discrete import DiscreteDistribution
 from repro.experiments.estimate import ComplexityEstimate, empirical_sample_complexity
-from repro.kernels import validate_kernel
 from repro.observability.trace import NULL_TRACER, Tracer
 from repro.robustness.checkpoint import CheckpointStore, load_if_matching, resolve_store
 from repro.robustness.resilience import TrialPolicy
@@ -104,7 +103,6 @@ class HistogramTester:
     eps: float
     config: TesterConfig
     backend: str = DEFAULT_BACKEND
-    kernel: str = "auto"
 
     #: Advertises the ``trace=`` keyword to the trial runner (see
     #: :data:`repro.experiments.runner.Tester`); a class attribute, so the
@@ -118,7 +116,6 @@ class HistogramTester:
             self.eps,
             config=self.config,
             backend=self.backend,
-            kernel=self.kernel,
             trace=trace,
         ).accept
 
@@ -131,12 +128,9 @@ class HistogramTesterFamily:
     eps: float
     config: TesterConfig
     backend: str = DEFAULT_BACKEND
-    kernel: str = "auto"
 
     def __call__(self, scale: float) -> HistogramTester:
-        return HistogramTester(
-            self.k, self.eps, self.config.scaled(scale), self.backend, self.kernel
-        )
+        return HistogramTester(self.k, self.eps, self.config.scaled(scale), self.backend)
 
 
 @dataclass(frozen=True)
@@ -152,7 +146,6 @@ class PairedClosenessTester:
     k: int
     eps: float
     config: TesterConfig
-    kernel: str = "auto"
 
     supports_trace = True
 
@@ -162,7 +155,6 @@ class PairedClosenessTester:
             k=self.k,
             eps=self.eps,
             config=self.config,
-            kernel=self.kernel,
             trace=trace,
         ).accept
 
@@ -174,12 +166,9 @@ class ClosenessTesterFamily:
     k: int
     eps: float
     config: TesterConfig
-    kernel: str = "auto"
 
     def __call__(self, scale: float) -> PairedClosenessTester:
-        return PairedClosenessTester(
-            self.k, self.eps, self.config.scaled(scale), self.kernel
-        )
+        return PairedClosenessTester(self.k, self.eps, self.config.scaled(scale))
 
 
 def _default_workloads(
@@ -252,11 +241,11 @@ def sweep_fingerprint(
 
     Shared between :func:`complexity_sweep` checkpoints and the distributed
     results store (:mod:`repro.distributed`), so a sqlite store and a JSON
-    checkpoint of the same sweep agree byte-for-byte on identity.  Neither
-    the worker count nor the kernel ever enters the fingerprint: results
-    are bit-identical at any count and under any kernel, so a checkpoint
-    must resume across machines with different parallelism or native
-    extras.  The backend *does* enter: it changes budgets and verdicts.
+    checkpoint of the same sweep agree byte-for-byte on identity.  The
+    worker count never enters the fingerprint: results are bit-identical
+    at any count, so a checkpoint must resume across machines with
+    different parallelism.  The backend *does* enter: it changes budgets
+    and verdicts.
 
     ``task`` ("identity" | "closeness") is likewise fingerprint-bearing:
     identity and closeness sweeps draw different streams and measure
@@ -346,7 +335,6 @@ def complexity_sweep(
     policy: TrialPolicy | None = None,
     workers: int | None = None,
     backend: str = DEFAULT_BACKEND,
-    kernel: str = "auto",
     task: str = "identity",
     label_ground_truth: bool = False,
     trace: Tracer = NULL_TRACER,
@@ -388,12 +376,6 @@ def complexity_sweep(
     verdicts, so it **is** part of the checkpoint fingerprint: a
     checkpoint written under one backend never resumes under the other.
 
-    ``kernel`` selects the compute kernels ("auto" | "python" | "numba").
-    Like the worker count it is an execution knob — every kernel pair is
-    bit-identical — so it is deliberately **excluded** from the checkpoint
-    fingerprint: a sweep checkpointed under one kernel resumes under any
-    other.
-
     ``label_ground_truth`` additionally computes certified
     ``dTV(·, H_k)`` bounds for one representative complete/far instance per
     sweep point (memoized via
@@ -419,7 +401,6 @@ def complexity_sweep(
     if workers is None:
         workers = config.workers
     validate_backend(backend)
-    validate_kernel(kernel)
     default_workloads = (
         _default_paired_workloads if task == "closeness" else _default_workloads
     )
@@ -467,9 +448,9 @@ def complexity_sweep(
             cur_eps = float(value)
         complete, far = make_workloads(cur_n, cur_k, cur_eps)
         if task == "closeness":
-            family = ClosenessTesterFamily(cur_k, cur_eps, config, kernel)
+            family = ClosenessTesterFamily(cur_k, cur_eps, config)
         else:
-            family = HistogramTesterFamily(cur_k, cur_eps, config, backend, kernel)
+            family = HistogramTesterFamily(cur_k, cur_eps, config, backend)
         with trace.span(
             "point", axis=axis, value=float(value), n=cur_n, k=cur_k, eps=cur_eps
         ):

@@ -1,50 +1,21 @@
-"""Dispatchable hot-path kernels: pure-numpy reference + optional numba JIT.
+"""Hot-path kernels: the pure-numpy ops in :mod:`repro.kernels.pykernels`.
 
-``kernel`` is a fingerprint-safe execution knob (like ``engine``, unlike
-``backend``): it selects *how* array loops run, never what they compute —
-both implementations of every op are bit-identical by construction and by
-test.  See DESIGN.md § "Kernel layer".
-
-Importing this package registers the pure-python kernels; the native
-(numba) set registers lazily the first time availability is probed.
+Callers import the ops directly; each one is metered into the metrics
+registry under a stable op name (see :mod:`repro.kernels.dispatch`).  See
+DESIGN.md § "Kernel layer" for why there is one implementation family.
 """
 
-from repro.kernels.dispatch import (
-    DispatchedKernel,
-    dispatch,
-    kernel_seconds_snapshot,
-    kernels_for,
-    register,
-    registered_ops,
-)
-from repro.kernels.state import (
-    KERNEL_ENV_VAR,
-    KERNELS,
-    KernelUnavailableError,
-    available_kernels,
-    current_kernel,
-    native_available,
-    resolve_kernel,
-    use_kernel,
-    validate_kernel,
-)
+from repro.kernels.dispatch import kernel_seconds_snapshot
 
-import repro.kernels.pykernels  # noqa: E402,F401  (registers python ops)
 
-__all__ = [
-    "KERNELS",
-    "KERNEL_ENV_VAR",
-    "KernelUnavailableError",
-    "DispatchedKernel",
-    "available_kernels",
-    "current_kernel",
-    "dispatch",
-    "kernel_seconds_snapshot",
-    "kernels_for",
-    "native_available",
-    "register",
-    "registered_ops",
-    "resolve_kernel",
-    "use_kernel",
-    "validate_kernel",
-]
+def native_available() -> bool:
+    """Host fact for benchmark headers: no JIT kernel family exists."""
+    return False
+
+
+def resolve_kernel() -> str:
+    """Host fact for benchmark headers: every op runs the numpy kernels."""
+    return "python"
+
+
+__all__ = ["kernel_seconds_snapshot", "native_available", "resolve_kernel"]

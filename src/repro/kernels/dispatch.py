@@ -1,107 +1,50 @@
-"""The kernel op registry: named hot-path operations, dispatched by kernel.
+"""Kernel metering: every hot-path op records its calls and wall time.
 
-Every hot kernel is registered under a stable op name (``"rank_tree.
-prefix_stats"``, ``"blocks.cover_walk"``, …) with one implementation per
-kernel family.  :func:`dispatch` resolves the requested kernel, picks the
-implementation (falling back to the canonical python one when an op has no
-native registration), and returns a thin callable that meters every call
-into the metrics registry:
+Each op in :mod:`repro.kernels.pykernels` carries :func:`metered` under a
+stable op name (``"rank_tree.prefix_stats"``, ``"blocks.cover_walk"``, …)
+and records every call into the metrics registry:
 
-    ``kernels.seconds{op=…, kernel=…}`` — a distribution whose ``count`` is
-    the number of dispatched calls and whose ``sum`` is the wall-clock
+    ``kernels.seconds{op=…, kernel="python"}`` — a distribution whose
+    ``count`` is the number of calls and whose ``sum`` is the wall-clock
     seconds spent inside them.
 
-Callers on a hot path resolve once and reuse the returned callable (the
-projection oracle binds its kernels at construction); one-shot callers just
-dispatch inline — a dispatch is two dict lookups plus one instrument fetch.
+The series is fetched on every call, so metering resumes into fresh series
+after a ``get_metrics().reset()``.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Any, Callable
 
-from repro.kernels.state import resolve_kernel
+from repro.observability.metrics import Distribution, get_metrics
 
-_REGISTRY: "dict[str, dict[str, Callable[..., Any]]]" = {}
-
-
-def register(op: str, kernel: str) -> Callable[[Callable], Callable]:
-    """Class-of-2 decorator: register ``fn`` as ``op``'s ``kernel`` impl."""
+def metered(op: str) -> Callable[[Callable], Callable]:
+    """Decorator: meter ``fn`` as op ``op`` (exposed as ``fn.op``)."""
 
     def decorate(fn: Callable) -> Callable:
-        _REGISTRY.setdefault(op, {})[kernel] = fn
-        return fn
+        @functools.wraps(fn)
+        def call(*args: Any, **kwargs: Any) -> Any:
+            metric = get_metrics().distribution("kernels.seconds", op=op, kernel="python")
+            tick = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                metric.observe(time.perf_counter() - tick)
+
+        call.op = op
+        return call
 
     return decorate
-
-
-def registered_ops() -> tuple[str, ...]:
-    """Sorted op names currently registered (diagnostics / tests)."""
-    return tuple(sorted(_REGISTRY))
-
-
-def kernels_for(op: str) -> tuple[str, ...]:
-    """Sorted kernel names registered for one op."""
-    return tuple(sorted(_REGISTRY.get(op, ())))
-
-
-class DispatchedKernel:
-    """One resolved (op, kernel) pair, metered per call.
-
-    ``kernel`` is the implementation actually bound — a native-less op under
-    ``kernel="numba"`` reports ``"python"`` here, which is exactly what the
-    per-kernel timing table should show.
-    """
-
-    __slots__ = ("op", "kernel", "_fn", "_metric")
-
-    def __init__(self, op: str, kernel: str, fn: Callable[..., Any]) -> None:
-        from repro.observability.metrics import get_metrics
-
-        self.op = op
-        self.kernel = kernel
-        self._fn = fn
-        self._metric = get_metrics().distribution("kernels.seconds", op=op, kernel=kernel)
-
-    def __call__(self, *args: Any, **kwargs: Any) -> Any:
-        tick = time.perf_counter()
-        try:
-            return self._fn(*args, **kwargs)
-        finally:
-            self._metric.observe(time.perf_counter() - tick)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"DispatchedKernel(op={self.op!r}, kernel={self.kernel!r})"
-
-
-def dispatch(op: str, kernel: "str | None" = None) -> DispatchedKernel:
-    """Resolve ``op`` under the requested kernel; returns a metered callable.
-
-    Raises ``KeyError`` for unknown ops and
-    :class:`~repro.kernels.state.KernelUnavailableError` when ``"numba"``
-    is requested explicitly without the native extra.  An op with no
-    implementation for the resolved kernel falls back to its python one.
-    """
-    impls = _REGISTRY.get(op)
-    if impls is None:
-        raise KeyError(f"unknown kernel op {op!r}; registered: {registered_ops()}")
-    resolved = resolve_kernel(kernel)
-    fn = impls.get(resolved)
-    if fn is None:
-        resolved = "python"
-        fn = impls[resolved]
-    return DispatchedKernel(op, resolved, fn)
 
 
 def kernel_seconds_snapshot() -> "list[tuple[str, str, int, float]]":
     """Rows ``(op, kernel, calls, seconds)`` from the metrics registry.
 
     Sourced from the process-wide ``kernels.seconds`` distributions — the
-    data behind ``repro test --stage-timings``'s per-kernel breakdown.
+    data behind ``repro test --stage-timings``'s per-op breakdown.
     """
-    from repro.observability.metrics import Distribution, get_metrics
-
     rows = []
     for inst in get_metrics():
         if isinstance(inst, Distribution) and inst.name == "kernels.seconds":

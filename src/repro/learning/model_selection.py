@@ -19,6 +19,7 @@ from repro.core.config import TesterConfig
 from repro.core.tester import test_histogram
 from repro.distributions.discrete import DiscreteDistribution
 from repro.distributions.histogram import Histogram
+from repro.distributions.projection import validate_engine
 from repro.distributions.sampling import SampleSource, as_source
 from repro.learning.merge import learn_histogram_agnostic
 from repro.util.rng import RandomState
@@ -44,7 +45,6 @@ def _amplified_test(
     repeats: int,
     backend: str = DEFAULT_BACKEND,
     projection_engine: str = "auto",
-    kernel: str = "auto",
 ) -> bool:
     verdicts = [
         test_histogram(
@@ -54,7 +54,6 @@ def _amplified_test(
             config=config,
             backend=backend,
             projection_engine=projection_engine,
-            kernel=kernel,
         ).accept
         for _ in range(repeats)
     ]
@@ -72,7 +71,6 @@ def select_k(
     rng: RandomState = None,
     backend: str = DEFAULT_BACKEND,
     projection_engine: str = "auto",
-    kernel: str = "auto",
 ) -> ModelSelectionResult:
     """Doubling + binary search for the smallest accepted ``k``, then learn.
 
@@ -86,6 +84,7 @@ def select_k(
     """
     if not 0 < eps <= 1:
         raise ValueError(f"eps must be in (0, 1], got {eps}")
+    validate_engine(projection_engine)
     source = as_source(dist, rng)
     if config is None:
         config = TesterConfig.practical()
@@ -114,7 +113,7 @@ def select_k(
     while True:
         probe = min(k, k_max)
         ok = _amplified_test(
-            source, probe, eps, config, repeats, backend, projection_engine, kernel
+            source, probe, eps, config, repeats, backend, projection_engine
         )
         trace[probe] = ok
         tests += 1
@@ -134,7 +133,7 @@ def select_k(
     while lo < hi:
         mid = (lo + hi) // 2
         ok = _amplified_test(
-            source, mid, eps, config, repeats, backend, projection_engine, kernel
+            source, mid, eps, config, repeats, backend, projection_engine
         )
         trace[mid] = ok
         tests += 1

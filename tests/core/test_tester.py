@@ -78,6 +78,13 @@ class TestSoundness:
 
 
 class TestMechanics:
+    @pytest.mark.parametrize("engine", ["bogus", "fsat", "Fast", ""])
+    def test_misspelled_engine_refused_before_sampling(self, engine):
+        source = SampleSource(families.staircase(N, K).to_distribution(), rng=0)
+        with pytest.raises(ValueError, match="engine must be one of"):
+            test_histogram(source, K, EPS, config=CFG, projection_engine=engine)
+        assert source.samples_drawn == 0
+
     def test_trivial_k_geq_n(self):
         v = test_histogram(families.uniform(10), 10, 0.5, rng=0)
         assert v.accept and v.stage == "trivial" and v.samples_used == 0

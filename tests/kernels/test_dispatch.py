@@ -1,36 +1,22 @@
-"""Unit tests for the kernel layer's selection state and op registry.
+"""Unit tests for kernel metering and the benchmark's host-fact functions.
 
-Covers the resolution contract from DESIGN.md § "Kernel layer": spelling
-validation, ``auto``'s silent fallback vs the loud failure of an explicit
-``numba`` request, thread-local / ``REPRO_KERNEL`` precedence (including
-the "thread-local auto carries no opinion" rule), per-op python fallback
-for ops without a native registration, and the metered dispatch snapshot
-behind ``repro test --stage-timings``.
+Every hot op records ``kernels.seconds{op=…, kernel="python"}`` on each
+call — also after a ``get_metrics().reset()`` — and
+:func:`kernel_seconds_snapshot` turns those series into the ``(op, kernel,
+calls, seconds)`` rows behind ``repro test --stage-timings`` and the
+benchmark's per-op layer metrics.
 """
 
-import threading
-
 import numpy as np
-import pytest
 
-from repro.kernels import (
-    KERNELS,
-    KernelUnavailableError,
-    available_kernels,
-    dispatch,
-    kernel_seconds_snapshot,
-    native_available,
-    resolve_kernel,
-    use_kernel,
-    validate_kernel,
-)
-from repro.kernels import state as kernel_state
-from repro.kernels.dispatch import kernels_for, registered_ops
-from repro.kernels.state import KERNEL_ENV_VAR, current_kernel
+from repro.kernels import kernel_seconds_snapshot, native_available, pykernels, resolve_kernel
+from repro.observability.metrics import get_metrics
 
+#: The op names the benchmark's per-layer report reads.
 EXPECTED_OPS = (
     "blocks.build",
     "blocks.cover_walk",
+    "chi2.paired_point_terms",
     "chi2.point_terms",
     "dp.segment_first_min",
     "rank_tree.build",
@@ -40,188 +26,75 @@ EXPECTED_OPS = (
     "serve.aggregate_rows",
 )
 
-
-@pytest.fixture(autouse=True)
-def _clean_kernel_env(monkeypatch):
-    """Each test starts with no env override and no thread-local kernel."""
-    monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-    monkeypatch.setattr(kernel_state._local, "kernel", None, raising=False)
+METERED_OPS = tuple(
+    fn for fn in vars(pykernels).values() if callable(fn) and hasattr(fn, "op")
+)
 
 
-class TestValidateKernel:
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_accepts_every_spelling(self, kernel):
-        assert validate_kernel(kernel) == kernel
-
-    @pytest.mark.parametrize("kernel", ["", "Numba", "numpy", "native", None, 3])
-    def test_rejects_everything_else(self, kernel):
-        with pytest.raises(ValueError, match="kernel must be one of"):
-            validate_kernel(kernel)
+def _calls() -> dict:
+    return {(op, kernel): calls for op, kernel, calls, _ in kernel_seconds_snapshot()}
 
 
 class TestResolveKernel:
-    def test_auto_without_native_is_python(self, monkeypatch):
-        monkeypatch.setattr(kernel_state, "_native_probe", False)
-        assert resolve_kernel("auto") == "python"
-
-    def test_auto_with_native_is_numba(self, monkeypatch):
-        monkeypatch.setattr(kernel_state, "_native_probe", True)
-        assert resolve_kernel("auto") == "numba"
-
-    def test_explicit_python_always_resolves(self):
-        assert resolve_kernel("python") == "python"
-
-    def test_explicit_numba_without_native_raises(self, monkeypatch):
-        monkeypatch.setattr(kernel_state, "_native_probe", False)
-        with pytest.raises(KernelUnavailableError, match="repro\\[native\\]"):
-            resolve_kernel("numba")
-
-    def test_none_reads_current_kernel(self):
-        with use_kernel("python"):
-            assert resolve_kernel(None) == "python"
-        assert resolve_kernel(None) == resolve_kernel("auto")
-
-    def test_available_kernels_matches_probe(self, monkeypatch):
-        monkeypatch.setattr(kernel_state, "_native_probe", False)
-        assert available_kernels() == ("python",)
-        monkeypatch.setattr(kernel_state, "_native_probe", True)
-        assert available_kernels() == ("python", "numba")
-
-    def test_native_probe_is_cached(self, monkeypatch):
-        monkeypatch.setattr(kernel_state, "_native_probe", None)
-        first = native_available()
-        assert native_available() is first
-        assert kernel_state._native_probe is first
-
-
-class TestCurrentKernelPrecedence:
-    def test_default_is_auto(self):
-        assert current_kernel() == "auto"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "python")
-        assert current_kernel() == "python"
-
-    def test_env_whitespace_ignored(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "   ")
-        assert current_kernel() == "auto"
-
-    def test_env_bad_spelling_raises(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "fortran")
-        with pytest.raises(ValueError, match="kernel must be one of"):
-            current_kernel()
-
-    def test_thread_local_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "numba")
-        with use_kernel("python"):
-            assert current_kernel() == "python"
-        assert current_kernel() == "numba"
-
-    def test_thread_local_auto_defers_to_env(self, monkeypatch):
-        """The common pipeline default ``use_kernel("auto")`` must not
-        shadow an operator's ``REPRO_KERNEL`` pin."""
-        monkeypatch.setenv(KERNEL_ENV_VAR, "python")
-        with use_kernel("auto"):
-            assert current_kernel() == "python"
-
-    def test_use_kernel_none_is_passthrough(self):
-        with use_kernel("python"):
-            with use_kernel(None) as seen:
-                assert seen == "python"
-                assert current_kernel() == "python"
-
-    def test_use_kernel_nesting_restores_previous(self):
-        with use_kernel("python"):
-            with use_kernel("auto"):
-                pass
-            assert current_kernel() == "python"
-        assert current_kernel() == "auto"
-
-    def test_use_kernel_restores_on_exception(self):
-        with pytest.raises(RuntimeError):
-            with use_kernel("python"):
-                raise RuntimeError("boom")
-        assert current_kernel() == "auto"
-
-    def test_use_kernel_validates_spelling(self):
-        with pytest.raises(ValueError):
-            with use_kernel("numpy"):
-                pass  # pragma: no cover
-
-    def test_setting_is_thread_local(self):
-        seen = {}
-
-        def worker():
-            seen["other"] = current_kernel()
-
-        with use_kernel("python"):
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-        assert seen["other"] == "auto"
+    def test_auto_without_native_is_python(self):
+        assert native_available() is False
+        assert resolve_kernel() == "python"
 
 
 class TestDispatch:
     def test_every_hot_op_is_registered(self):
-        assert set(EXPECTED_OPS) <= set(registered_ops())
-
-    def test_python_impl_exists_for_every_op(self):
-        for op in registered_ops():
-            assert "python" in kernels_for(op)
-
-    def test_unknown_op_raises_keyerror(self):
-        with pytest.raises(KeyError, match="unknown kernel op"):
-            dispatch("no.such_op")
+        assert sorted(fn.op for fn in METERED_OPS) == list(EXPECTED_OPS)
 
     def test_dispatch_binds_python(self):
-        fn = dispatch("sampling.counts_from_samples", "python")
-        assert fn.kernel == "python"
-        assert fn.op == "sampling.counts_from_samples"
-        counts = fn(np.array([0, 2, 2]), 4)
+        before = _calls()
+        counts = pykernels.counts_from_samples(np.array([0, 2, 2]), 4)
         assert counts.tolist() == [1, 0, 2, 0]
         assert counts.dtype == np.int64
-
-    def test_dispatch_respects_use_kernel_scope(self):
-        with use_kernel("python"):
-            assert dispatch("chi2.point_terms").kernel == "python"
-
-    def test_native_less_op_falls_back_to_python(self, monkeypatch):
-        """``rank_tree.build`` has no native registration by design: even a
-        resolved ``numba`` kernel must bind (and report) python for it."""
-        monkeypatch.setattr(kernel_state, "_native_probe", True)
-        fn = dispatch("rank_tree.build", "numba")
-        assert fn.kernel == "python"
-
-    def test_explicit_numba_without_native_raises(self, monkeypatch):
-        monkeypatch.setattr(kernel_state, "_native_probe", False)
-        with pytest.raises(KernelUnavailableError):
-            dispatch("chi2.point_terms", "numba")
+        key = ("sampling.counts_from_samples", "python")
+        assert _calls()[key] == before.get(key, 0) + 1
 
 
 class TestKernelSecondsSnapshot:
     def test_dispatched_calls_are_metered(self):
-        fn = dispatch("sampling.counts_from_samples", "python")
-        before = {
-            (op, kernel): calls for op, kernel, calls, _ in kernel_seconds_snapshot()
-        }
-        fn(np.array([0, 1]), 2)
-        fn(np.array([1]), 2)
-        after = {
-            (op, kernel): calls for op, kernel, calls, _ in kernel_seconds_snapshot()
-        }
+        before = _calls()
+        pykernels.counts_from_samples(np.array([0, 1]), 2)
+        pykernels.counts_from_samples(np.array([1]), 2)
         key = ("sampling.counts_from_samples", "python")
-        assert after[key] == before.get(key, 0) + 2
+        assert _calls()[key] == before.get(key, 0) + 2
 
     def test_rows_are_well_formed(self):
-        dispatch("serve.aggregate_rows", "python")(
-            np.ones((2, 4)), np.array([0, 2])
-        )
+        pykernels.aggregate_rows(np.ones((2, 4)), np.array([0, 2]))
         rows = kernel_seconds_snapshot()
         assert rows
         for op, kernel, calls, seconds in rows:
-            assert isinstance(op, str) and isinstance(kernel, str)
-            # Binding an op creates its series; only *calls* advance it.
+            assert isinstance(op, str) and kernel == "python"
             assert calls >= 0
             assert seconds >= 0.0
-        by_key = {(op, kernel): calls for op, kernel, calls, _ in rows}
-        assert by_key[("serve.aggregate_rows", "python")] >= 1
+        assert _calls()[("serve.aggregate_rows", "python")] >= 1
+
+    def test_metering_resumes_after_registry_reset(self):
+        pykernels.counts_from_samples(np.array([0]), 1)
+        get_metrics().reset()
+        assert kernel_seconds_snapshot() == []
+        pykernels.counts_from_samples(np.array([0]), 1)
+        assert _calls() == {("sampling.counts_from_samples", "python"): 1}
+
+    def test_chunked_call_is_one_observation(self, monkeypatch):
+        """Query chunking happens inside one op call: one metered call."""
+        monkeypatch.setattr(pykernels, "_QUERY_CHUNK", 3)
+        values = np.linspace(0.0, 1.0, 16)
+        ones = np.ones(16)
+        tree = pykernels.build_rank_tree(values, ones, values)
+        before = _calls()
+        x = np.arange(10, dtype=np.int64)
+        pykernels.rank_prefix_stats(tree, x, x)
+        key = ("rank_tree.prefix_stats", "python")
+        assert _calls()[key] == before.get(key, 0) + 1
+
+    def test_metering_leaves_results_unchanged(self):
+        counts = np.array([[3.0, 0.0, 5.0, 1.0]])
+        pmf = np.full(4, 0.25)
+        mask = np.array([True, True, False, True])
+        metered = pykernels.chi2_point_terms(counts, 8.0, pmf, mask)
+        raw = pykernels.chi2_point_terms.__wrapped__(counts, 8.0, pmf, mask)
+        assert np.array_equal(metered, raw)

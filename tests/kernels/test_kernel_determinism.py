@@ -1,53 +1,79 @@
-"""Byte-identity regressions: ``kernel`` is a pure execution knob.
+"""Byte-identity regressions: the kernel layer's settings are execution-only.
 
-The contract the whole layer hangs on — switching kernels (or letting
-``auto`` resolve differently on another machine) may change *how fast* a
-verdict is reached, never the verdict, the trace, the serve report, or a
-sweep checkpoint.  Assertions are byte-level (canonical JSON / JSONL), the
-same bar ``test_determinism.py`` sets for the worker-count knob.  Numba
-rows join automatically when the ``repro[native]`` extra is installed.
+The numpy kernels split large query batches into ``_QUERY_CHUNK``-sized
+chunks; chunks are independent queries, so the chunk size may change *how
+fast* a verdict is reached, never the verdict, the trace, an acceptance
+estimate, or a sweep checkpoint.  Each test runs the fast projection
+engine (the path that reaches the chunked rank-tree and cover-walk ops)
+under the shipped chunk size and under a tiny one that forces chunking
+on every batch.  Assertions are byte-level (canonical JSON / JSONL), the
+same bar ``test_determinism.py`` sets for the worker-count knob.
 """
 
+import functools
 import json
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import pytest
 
 from repro.core.config import TesterConfig
 from repro.core.tester import test_histogram
-from repro.distributions.discrete import DiscreteDistribution
-from repro.experiments.sweeps import (
-    HistogramTester,
-    StaircaseWorkload,
-    _point_to_json,
-    complexity_sweep,
-)
+from repro.distributions import projection_engine
+from repro.experiments import sweeps
 from repro.experiments.runner import acceptance_probability
-from repro.kernels import available_kernels, native_available
-from repro.observability.trace import RecordingTracer, canonical_jsonl
-from repro.serve import ChaosConfig, TesterService, build_requests
+from repro.experiments.sweeps import StaircaseWorkload, _point_to_json, complexity_sweep
+from repro.kernels import pykernels
+from repro.observability.trace import NULL_TRACER, RecordingTracer, canonical_jsonl
 
 CONFIG = TesterConfig.practical()
 
-#: Kernel settings every artefact must agree across ("auto" resolves to
-#: the best available, so it doubles as the numba row on native machines).
-KERNEL_SETTINGS = ("auto", "python") + (("numba",) if native_available() else ())
+#: Query-chunk sizes every artefact must agree across: the shipped cap and
+#: one small enough that every fast-engine batch is split.
+KERNEL_SETTINGS = (pykernels._QUERY_CHUNK, 7)
 
-needs_native = pytest.mark.skipif(
-    not native_available(), reason="numba kernels not installed (repro[native])"
-)
+
+@pytest.fixture
+def use_chunk(monkeypatch):
+    return lambda chunk: monkeypatch.setattr(pykernels, "_QUERY_CHUNK", chunk)
+
+
+@pytest.fixture
+def fast_sweeps(monkeypatch):
+    """Route the sweep testers through the fast projection engine."""
+    monkeypatch.setattr(
+        sweeps,
+        "test_histogram",
+        functools.partial(test_histogram, projection_engine="fast"),
+    )
+
+
+@dataclass(frozen=True)
+class FastEngineTester:
+    """Picklable tester running the fast projection engine."""
+
+    k: int
+    eps: float
+    config: TesterConfig
+
+    supports_trace = True
+
+    def __call__(self, source, trace=NULL_TRACER) -> bool:
+        return test_histogram(
+            source, self.k, self.eps,
+            config=self.config, projection_engine="fast", trace=trace,
+        ).accept
 
 
 def _staircase(n=512, k=4):
     return StaircaseWorkload(n, k)(np.random.default_rng(0))
 
 
-def _verdict_and_trace(kernel, *, n=512, k=4, eps=0.3, seed=7):
+def _verdict_and_trace(*, n=512, k=4, eps=0.3, seed=7):
     tracer = RecordingTracer()
     verdict = test_histogram(
         _staircase(n, k), k, eps,
-        config=CONFIG, rng=seed, kernel=kernel, trace=tracer,
+        config=CONFIG, rng=seed, projection_engine="fast", trace=tracer,
     )
     return verdict, canonical_jsonl(tracer.export())
 
@@ -80,105 +106,71 @@ def sweep_json(result) -> str:
 
 
 class TestVerdictAndTraceByteIdentity:
-    def test_verdicts_identical_across_kernels(self):
-        verdicts = {k: _verdict_and_trace(k)[0] for k in KERNEL_SETTINGS}
-        keys = {k: _verdict_key(v) for k, v in verdicts.items()}
+    def test_verdicts_identical_across_kernels(self, use_chunk, monkeypatch):
+        batches = []
+        interval_stats = projection_engine.rank_interval_stats
+
+        def spy(tree, a, b, L):
+            batches.append(len(a))
+            return interval_stats(tree, a, b, L)
+
+        monkeypatch.setattr(projection_engine, "rank_interval_stats", spy)
+        keys = {}
+        for chunk in KERNEL_SETTINGS:
+            use_chunk(chunk)
+            keys[chunk] = _verdict_key(_verdict_and_trace()[0])
+        assert max(batches) > min(KERNEL_SETTINGS), batches
         assert len(set(keys.values())) == 1, keys
 
-    def test_traces_identical_across_kernels(self):
+    def test_traces_identical_across_kernels(self, use_chunk):
         """The full event stream — every stage's recorded statistics and
         budgets — is byte-identical, not just the final verdict."""
-        traces = {k: _verdict_and_trace(k)[1] for k in KERNEL_SETTINGS}
+        traces = {}
+        for chunk in KERNEL_SETTINGS:
+            use_chunk(chunk)
+            traces[chunk] = _verdict_and_trace()[1]
         assert len(set(traces.values())) == 1, {
             k: t[:160] for k, t in traces.items()
         }
 
-    def test_reject_case_identical_across_kernels(self):
-        rng = np.random.default_rng(3)
-        pmf = rng.dirichlet(np.ones(256))
-        dist = DiscreteDistribution(pmf)
-        verdicts = {
-            kernel: test_histogram(
-                dist, 3, 0.25, config=CONFIG, rng=11, kernel=kernel
-            )
-            for kernel in KERNEL_SETTINGS
-        }
-        keys = {k: _verdict_key(v) for k, v in verdicts.items()}
-        assert len(set(keys.values())) == 1, keys
-
-    def test_acceptance_estimate_identical_across_kernels(self):
-        payloads = {
-            kernel: json.dumps(
+    def test_acceptance_estimate_identical_across_kernels(self, use_chunk):
+        payloads = {}
+        for chunk in KERNEL_SETTINGS:
+            use_chunk(chunk)
+            payloads[chunk] = json.dumps(
                 asdict(
                     acceptance_probability(
                         StaircaseWorkload(600, 3),
-                        HistogramTester(3, 0.35, CONFIG, kernel=kernel),
+                        FastEngineTester(3, 0.35, CONFIG),
                         trials=6,
                         rng=11,
                     )
                 ),
                 sort_keys=True,
             )
-            for kernel in KERNEL_SETTINGS
-        }
         assert len(set(payloads.values())) == 1, payloads
 
 
-class TestServeReportByteIdentity:
-    def _report(self, kernel):
-        config = ChaosConfig(sessions=8, fault_rate=0.25, seed=5, kernel=kernel)
-        service = TesterService()
-        for request in build_requests(config):
-            service.submit(request)
-        return service.run().canonical_json()
-
-    def test_canonical_report_identical_across_kernels(self):
-        reports = {kernel: self._report(kernel) for kernel in KERNEL_SETTINGS}
-        assert len(set(reports.values())) == 1
-
-    def test_mixed_kernel_population_reaches_same_outcomes(self):
-        """Per-request kernels only regroup the final-test batches; every
-        session's outcome matches the single-kernel run."""
-        config = ChaosConfig(sessions=8, fault_rate=0.25, seed=5)
-        requests = build_requests(config)
-        mixed = [
-            type(r)(**{**asdict_shallow(r), "kernel": KERNEL_SETTINGS[i % len(KERNEL_SETTINGS)]})
-            for i, r in enumerate(requests)
-        ]
-        service = TesterService()
-        for request in mixed:
-            service.submit(request)
-        report = service.run().canonical_json()
-        assert report == self._report("auto")
-
-
-def asdict_shallow(request):
-    """dataclasses.asdict recurses into numpy payloads; keep fields as-is."""
-    from dataclasses import fields
-
-    return {f.name: getattr(request, f.name) for f in fields(request)}
-
-
+@pytest.mark.usefixtures("fast_sweeps")
 class TestSweepByteIdentity:
     VALUES = [400, 800]
     KWARGS = dict(k=3, eps=0.35, config=CONFIG, trials=3, bisection_steps=2)
 
-    def test_sweep_identical_across_kernels_and_workers(self):
-        payloads = {
-            (kernel, workers): sweep_json(
-                complexity_sweep(
-                    "n", self.VALUES, rng=3, workers=workers, kernel=kernel,
-                    **self.KWARGS,
+    def test_sweep_identical_across_kernels_and_workers(self, use_chunk):
+        payloads = {}
+        for chunk in KERNEL_SETTINGS:
+            use_chunk(chunk)
+            for workers in (None, 2, 4):
+                payloads[chunk, workers] = sweep_json(
+                    complexity_sweep(
+                        "n", self.VALUES, rng=3, workers=workers, **self.KWARGS
+                    )
                 )
-            )
-            for kernel in KERNEL_SETTINGS
-            for workers in (None, 2, 4)
-        }
         assert len(set(payloads.values())) == 1
 
-    def test_checkpoint_resume_across_kernels(self, tmp_path):
-        """A checkpoint written under one kernel resumes under another (the
-        fingerprint deliberately excludes the kernel, like workers)."""
+    def test_checkpoint_resume_across_kernels(self, tmp_path, use_chunk):
+        """A checkpoint written under one chunk size resumes under another
+        (the fingerprint holds no kernel-layer setting, like workers)."""
         from repro.experiments.sweeps import _default_workloads
         from repro.robustness.checkpoint import CheckpointStore
 
@@ -194,45 +186,16 @@ class TestSweepByteIdentity:
                 raise KeyboardInterrupt
             return _default_workloads(n, k, eps)
 
+        use_chunk(KERNEL_SETTINGS[0])
         with pytest.raises(KeyboardInterrupt):
             complexity_sweep(
-                "n", values, rng=3, checkpoint=path, kernel="python",
+                "n", values, rng=3, checkpoint=path,
                 workloads=dying_workloads, **self.KWARGS,
             )
         assert len(CheckpointStore(path).load()["points"]) == 2
 
+        use_chunk(KERNEL_SETTINGS[1])
         resumed = complexity_sweep(
-            "n", values, rng=3, checkpoint=path, kernel="auto", workers=2,
-            **self.KWARGS,
+            "n", values, rng=3, checkpoint=path, workers=2, **self.KWARGS,
         )
         assert sweep_json(resumed) == sweep_json(uninterrupted)
-
-    @needs_native
-    def test_checkpoint_resume_python_to_numba(self, tmp_path):
-        path = tmp_path / "sweep.json"
-        complexity_sweep(
-            "n", self.VALUES, rng=3, checkpoint=path, kernel="python",
-            **self.KWARGS,
-        )
-        resumed = complexity_sweep(
-            "n", self.VALUES, rng=3, checkpoint=path, kernel="numba",
-            **self.KWARGS,
-        )
-        assert sweep_json(resumed) == sweep_json(
-            complexity_sweep("n", self.VALUES, rng=3, **self.KWARGS)
-        )
-
-
-class TestKernelAvailabilityGates:
-    def test_explicit_numba_request_fails_loudly_when_absent(self):
-        if native_available():
-            pytest.skip("native extra installed; the loud-failure path is moot")
-        from repro.kernels import KernelUnavailableError
-
-        with pytest.raises(KernelUnavailableError):
-            test_histogram(
-                _staircase(), 4, 0.3, config=CONFIG, rng=0, kernel="numba"
-            )
-
-    def test_available_kernels_always_include_python(self):
-        assert available_kernels()[0] == "python"

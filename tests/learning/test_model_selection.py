@@ -6,6 +6,7 @@ from repro.core.config import TesterConfig
 from repro.distributions import families
 from repro.distributions.distances import tv_distance
 from repro.distributions.projection import flattening_distance
+from repro.distributions.sampling import SampleSource
 from repro.learning.model_selection import select_k
 
 
@@ -13,6 +14,12 @@ CFG = TesterConfig.practical()
 
 
 class TestSelectK:
+    def test_misspelled_engine_refused_before_sampling(self):
+        source = SampleSource(families.uniform(1500), rng=0)
+        with pytest.raises(ValueError, match="engine must be one of"):
+            select_k(source, 0.3, k_max=8, repeats=3, config=CFG, projection_engine="bogus")
+        assert source.samples_drawn == 0
+
     def test_uniform_selects_one(self):
         result = select_k(families.uniform(1500), 0.3, k_max=64, repeats=3, rng=0, config=CFG)
         assert result.k == 1

@@ -6,11 +6,14 @@ died mid-stage, or was abandoned — the corrigendum's lesson applied to the
 service layer.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.config import TesterConfig
 from repro.distributions.discrete import DiscreteDistribution
+from repro.observability.metrics import get_metrics
 from repro.robustness.resilience import TrialTimeout
 from repro.serve.service import StepClock
 from repro.serve.session import (
@@ -53,6 +56,16 @@ class TestStreamRequest:
             _request(deadline_ticks=0)
         with pytest.raises(ValueError):
             _request(max_samples=0)
+
+    def test_misspelled_engine_is_never_admitted(self):
+        """A bad ``engine`` fails at construction, so no session is admitted,
+        no sample is drawn and no projection fallback is counted."""
+        fallbacks = get_metrics().counter("serve.projection_fallbacks").value
+        with pytest.raises(ValueError, match="engine must be one of"):
+            _request(engine="fsat")
+        with pytest.raises(ValueError, match="engine must be one of"):
+            dataclasses.replace(_request(), engine="fsat")
+        assert get_metrics().counter("serve.projection_fallbacks").value == fallbacks
 
 
 class TestStateMachine:
