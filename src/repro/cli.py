@@ -51,7 +51,7 @@ from repro.core.config import TesterConfig
 from repro.core.tester import STAGE_ORDER, test_histogram
 from repro.experiments.report import format_table
 from repro.experiments.runner import acceptance_probability
-from repro.experiments.sweeps import HistogramTester, complexity_sweep
+from repro.experiments.sweeps import HistogramTester, complexity_sweep, task_tester
 from repro.experiments.workloads import REGISTRY, BoundWorkload, make
 from repro.kernels import kernel_seconds_snapshot
 from repro.learning.model_selection import select_k
@@ -299,6 +299,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     values = [float(v) for v in args.values.split(",") if v.strip()]
     if not values:
         raise SystemExit("--values must name at least one axis value")
+    try:
+        task_tester(args.task, args.k, args.eps, _config(args), args.backend)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     tracer = RecordingTracer() if args.trace else NULL_TRACER
     if args.store:
         from repro.distributed import SweepSpec, distributed_sweep

@@ -16,17 +16,22 @@ layer, the CLI) threads through:
   and an adaptive two-stage sample schedule.  See
   :mod:`repro.core.backends.cdkl22`.
 
-Unlike the projection ``engine`` knob (execution-only, fingerprint-exempt),
-the backend changes sample budgets and — on marginal inputs — verdicts, so
-it **is** part of experiment checkpoint fingerprints and serve batch keys.
+Each backend is a :class:`~repro.core.pipeline.Procedure` on the one
+pipeline skeleton; :func:`procedure_for` resolves the name.  Unlike the
+projection ``engine`` knob (execution-only, fingerprint-exempt), the
+backend changes sample budgets and — on marginal inputs — verdicts, so it
+**is** part of experiment checkpoint fingerprints and admission prices.
 """
 
 from __future__ import annotations
 
+from repro.core.backends.cdkl22 import CDKL22
 from repro.core.config import TesterConfig
+from repro.core.pipeline import PODS16, Procedure
 
 BACKENDS = ("pods16", "cdkl22")
 DEFAULT_BACKEND = "pods16"
+_PROCEDURES = {"pods16": PODS16, "cdkl22": CDKL22}
 
 
 def validate_backend(backend: str) -> str:
@@ -34,6 +39,11 @@ def validate_backend(backend: str) -> str:
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
     return backend
+
+
+def procedure_for(backend: str) -> Procedure:
+    """The procedure object that implements ``backend``."""
+    return _PROCEDURES[validate_backend(backend)]
 
 
 def backend_budget(
@@ -44,11 +54,4 @@ def backend_budget(
     Single dispatch point so admission control, ledger caps, and the budget
     experiments all price a backend identically.
     """
-    validate_backend(backend)
-    if backend == "cdkl22":
-        from repro.core.backends.cdkl22 import cdkl22_budget
-
-        return cdkl22_budget(n, k, eps, config)
-    from repro.core.backends.pods16 import pods16_budget
-
-    return pods16_budget(n, k, eps, config)
+    return procedure_for(backend).budget(n, k, eps, config)

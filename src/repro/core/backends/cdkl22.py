@@ -45,11 +45,14 @@ measured numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.core.config import TesterConfig
+from repro.core.pipeline import Decision, Pods16
+from repro.core.sieve import SieveResult
+from repro.observability.metrics import get_metrics
 from repro.util.intervals import Partition
 
 
@@ -131,3 +134,85 @@ def guard_width(config: TesterConfig, mask: np.ndarray) -> float:
     """
     active = int(np.asarray(mask, dtype=bool).sum())
     return config.cdkl22_guard_sigmas * math.sqrt(2.0 * max(1, active))
+
+
+class Cdkl22(Pods16):
+    """The cdkl22 procedure: Algorithm 1's skeleton and identity plumbing
+    with the four differences of the module docstring — coarser learner,
+    no sieve, projection check, trimmed and escalating final test.  The
+    check stores ``D*`` on ``pipe.projection`` as the final reference."""
+
+    name = "cdkl22"
+
+    def budget(self, n, k, eps, config=None):
+        return cdkl22_budget(n, k, eps, config)
+
+    def learner_samples(self, pipe):
+        # Projecting onto H_k needs far less precision than per-interval
+        # sieving: the learner runs at ε/16 instead of ε/40.
+        return pipe.config.cdkl22_learner_samples(len(pipe.partition), pipe.eps)
+
+    def sieve(self, pipe):
+        # No sieve stage at all (no span, no ledger entry, zero samples):
+        # breakpoint-interval contamination is removed by the trimmed
+        # final statistic instead.
+        pipe.sieve = SieveResult.keep_all(
+            len(pipe.partition), "cdkl22: sieve replaced by the trimmed final statistic"
+        )
+        return None
+
+    def check(self, pipe, span):
+        tolerance = pipe.config.cdkl22_check_tolerance(pipe.eps)
+        projection = pipe.project_oracle(
+            pipe.learned.to_pmf(), pipe.partition, pipe.k, pipe.sieve.kept, engine=pipe.engine
+        )
+        pipe.projection = projection
+        close = projection.distance <= tolerance
+        span.set(close=bool(close), distance=float(projection.distance))
+        if close:
+            return None
+        return (
+            f"testing-by-learning gate: learned distribution is "
+            f"{projection.distance:.4g} from H_k on the partition "
+            f"borders (> {tolerance:.4g})"
+        )
+
+    def final_plan(self, pipe):
+        # Against D* over the whole domain, at the larger effective ε'.
+        return self.chi2_plan(
+            pipe,
+            pipe.config.cdkl22_final_eps(pipe.k, pipe.eps),
+            pipe.projection.histogram.to_pmf(),
+            None,
+        )
+
+    def decide(self, pipe, plan, z):
+        config = pipe.config
+        trimmed = trimmed_statistic(z, pipe.partition, plan.reference_pmf, config, pipe.k, pipe.eps)
+        statistic = trimmed.statistic
+        threshold = config.chi2_accept_fraction * plan.m * plan.eps_final * plan.eps_final
+        if plan.stage == 0:
+            guard = guard_width(config, plan.mask)
+            if threshold - guard < statistic < threshold + guard:
+                # Ambiguous: escalate once, with fresh draws at a larger m.
+                escalated = replace(plan, m=float(config.cdkl22_escalated_m(plan.m)), stage=1)
+                pipe.trace.event(
+                    "chi2_escalate",
+                    statistic=statistic,
+                    threshold=threshold,
+                    guard=guard,
+                    m_next=escalated.m,
+                )
+                get_metrics().counter("tester.chi2_escalations").inc()
+                return escalated
+        dropped = int(trimmed.trimmed_indices.size)
+        return Decision(
+            statistic,
+            threshold,
+            "cdkl22 trimmed χ² statistic",
+            note=f" ({dropped} intervals trimmed{', after escalation' if plan.stage else ''})",
+            attrs={"trimmed": dropped, "stage": plan.stage},
+        )
+
+
+CDKL22 = Cdkl22()

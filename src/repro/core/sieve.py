@@ -62,6 +62,19 @@ class SieveResult:
     def num_removed(self) -> int:
         return len(self.removed)
 
+    @classmethod
+    def keep_all(cls, num_intervals: int, reason: str) -> "SieveResult":
+        """A sample-free non-rejecting result that keeps every interval."""
+        return cls(
+            rejected=False,
+            reason=reason,
+            kept=np.ones(num_intervals, dtype=bool),
+            removed=np.empty(0, dtype=np.int64),
+            rounds=0,
+            samples_used=0,
+            final_statistic=float("nan"),
+        )
+
 
 def sieve_intervals(
     source: SampleSource,

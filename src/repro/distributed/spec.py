@@ -27,18 +27,15 @@ import json
 from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
-from repro.core.backends import DEFAULT_BACKEND, validate_backend
+from repro.core.backends import DEFAULT_BACKEND
 from repro.core.config import TesterConfig
 from repro.experiments.estimate import empirical_sample_complexity
 from repro.experiments.sweeps import (
-    ClosenessTesterFamily,
-    HistogramTesterFamily,
     SweepPoint,
-    _default_paired_workloads,
-    _default_workloads,
     _point_from_json,
     _point_to_json,
     sweep_fingerprint,
+    task_tester,
 )
 from repro.observability.trace import RecordingTracer
 from repro.util.rng import spawn_rngs
@@ -82,10 +79,10 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.axis not in ("n", "k", "eps"):
             raise ValueError(f"axis must be one of n/k/eps, got {self.axis!r}")
-        if self.task not in ("identity", "closeness"):
-            raise ValueError(
-                f"task must be 'identity' or 'closeness', got {self.task!r}"
-            )
+        if self.config is None:
+            object.__setattr__(self, "config", TesterConfig.practical())
+        # Validates the task, the backend and their combination.
+        task_tester(self.task, self.k, self.eps, self.config, self.backend)
         if not self.values:
             raise ValueError("need at least one axis value")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
@@ -93,10 +90,7 @@ class SweepSpec:
                 "a distributed sweep requires an integer seed — every shard "
                 "re-derives its stream from it"
             )
-        validate_backend(self.backend)
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if self.config is None:
-            object.__setattr__(self, "config", TesterConfig.practical())
 
     # -- identity ------------------------------------------------------------
 
@@ -246,12 +240,8 @@ def run_shard(
     # streams from the sweep seed, take ours.  O(len(values)) int draws —
     # negligible next to the point itself.
     stream = spawn_rngs(spec.seed, len(spec.values))[index]
-    if spec.task == "closeness":
-        complete, far = _default_paired_workloads(cur_n, cur_k, cur_eps)
-        family = ClosenessTesterFamily(cur_k, cur_eps, spec.config)
-    else:
-        complete, far = _default_workloads(cur_n, cur_k, cur_eps)
-        family = HistogramTesterFamily(cur_k, cur_eps, spec.config, spec.backend)
+    family, make_workloads = task_tester(spec.task, cur_k, cur_eps, spec.config, spec.backend)
+    complete, far = make_workloads(cur_n, cur_k, cur_eps)
     tracer = RecordingTracer()
     with tracer.span(
         "point",

@@ -189,6 +189,30 @@ def _default_paired_workloads(
     )
 
 
+def task_tester(
+    task: str, k: int, eps: float, config: TesterConfig, backend: str = DEFAULT_BACKEND
+) -> tuple[Callable, Callable]:
+    """The tester family and default workloads one sweep point of ``task``
+    measures — the single ``task → tester`` mapping of serial sweeps,
+    distributed shards and :class:`~repro.distributed.spec.SweepSpec`.
+
+    Closeness has one tester (DKN17), so a non-default ``backend`` is
+    refused there: ignored, it would still enter the fingerprint and split
+    one computation across two checkpoint and store identities.
+    """
+    if task not in ("identity", "closeness"):
+        raise ValueError(f"task must be 'identity' or 'closeness', got {task!r}")
+    validate_backend(backend)
+    if task == "identity":
+        return HistogramTesterFamily(k, eps, config, backend), _default_workloads
+    if backend != DEFAULT_BACKEND:
+        raise ValueError(
+            f"task 'closeness' has a single tester (DKN17) and takes no backend; "
+            f"got backend={backend!r}"
+        )
+    return ClosenessTesterFamily(k, eps, config), _default_paired_workloads
+
+
 #: Seed-stream tag for ground-truth labelling generators.  Labels get their
 #: own deterministic streams (tag + point index) so turning them on never
 #: consumes from — or reorders — the per-point trial streams, keeping
@@ -394,16 +418,11 @@ def complexity_sweep(
         raise ValueError(f"axis must be one of n/k/eps, got {axis!r}")
     if not values:
         raise ValueError("need at least one axis value")
-    if task not in ("identity", "closeness"):
-        raise ValueError(f"task must be 'identity' or 'closeness', got {task!r}")
     if config is None:
         config = TesterConfig.practical()
     if workers is None:
         workers = config.workers
-    validate_backend(backend)
-    default_workloads = (
-        _default_paired_workloads if task == "closeness" else _default_workloads
-    )
+    _, default_workloads = task_tester(task, k, eps, config, backend)
     make_workloads = workloads if workloads is not None else default_workloads
 
     store = resolve_store(checkpoint)
@@ -447,10 +466,7 @@ def complexity_sweep(
         else:
             cur_eps = float(value)
         complete, far = make_workloads(cur_n, cur_k, cur_eps)
-        if task == "closeness":
-            family = ClosenessTesterFamily(cur_k, cur_eps, config)
-        else:
-            family = HistogramTesterFamily(cur_k, cur_eps, config, backend)
+        family, _ = task_tester(task, cur_k, cur_eps, config, backend)
         with trace.span(
             "point", axis=axis, value=float(value), n=cur_n, k=cur_k, eps=cur_eps
         ):

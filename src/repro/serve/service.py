@@ -45,6 +45,7 @@ import numpy as np
 from repro.baselines.learn_offline import learn_offline_budget_practical
 from repro.core.backends import backend_budget
 from repro.core.config import TesterConfig
+from repro.core.pipeline import regime
 from repro.core.tester import TesterPipeline, Verdict
 from repro.distributions.projection import (
     Projection,
@@ -178,10 +179,10 @@ def request_units(
     if request.max_samples is not None:
         return int(request.max_samples)
     n, k = request.dist.n, request.k
-    if k >= n:
+    where = regime(n, k, request.eps, config)
+    if where == "trivial":
         return 0
-    b = config.partition_b(k, request.eps)
-    if 2.0 * b + 2.0 >= n / 2.0:
+    if where == "degenerate":
         # Plug-in regime: the backend budget formulas do not apply; the
         # offline learner's Θ(n/ε²) budget does.
         return int(math.ceil(slack * learn_offline_budget_practical(n, request.eps)))
@@ -391,17 +392,10 @@ class TesterService:
         """
         try:
             pipeline = session.start_attempt()
-            verdict = pipeline.prepare()
-            if verdict is None:
-                pipeline.run_partition()
-                pipeline.run_learn()
-                verdict = pipeline.run_sieve()
-            if verdict is None:
-                verdict = pipeline.run_check()
+            verdict = pipeline.run_to_final()
             if verdict is not None:
                 self._retire_with_verdict(session, verdict, round_index)
                 return None
-            pipeline.begin_final_test()
             return self._final_item(pipeline)
         except SESSION_FAILURES as exc:
             self._on_failure(session, exc, round_index)
@@ -418,7 +412,6 @@ class TesterService:
             reference_pmf=plan.reference_pmf,
             mask=plan.mask,
             partition=pipeline.partition,
-            backend=plan.backend,
         )
 
     def _on_failure(

@@ -93,9 +93,9 @@ class StreamRequest:
     #: Chaos knob: make the fast projection engine fail once for this
     #: session, exercising the dense-fallback degradation path.
     projection_fault: bool = False
-    #: Tester backend for this session ("pods16" | "cdkl22").  Part of the
-    #: batch grouping key — mixed-backend rounds batch same-shape *and*
-    #: same-backend sessions together — and of the admission cost formula.
+    #: Tester backend for this session ("pods16" | "cdkl22").  Prices the
+    #: request's admission cost; the batch executor groups final tests by
+    #: shape alone, so mixed-backend rounds share kernel calls.
     backend: str = DEFAULT_BACKEND
 
     def __post_init__(self) -> None:

@@ -20,6 +20,7 @@ from repro.core.closeness import (
     test_closeness,
 )
 from repro.core.config import TesterConfig
+from repro.core.tester import test_histogram
 from repro.distributions import families
 from repro.distributions.sampling import PairedSampleSource, SampleSource
 from repro.experiments.workloads import make_pair
@@ -268,6 +269,19 @@ class TestAsPairedSource:
     def test_rejects_missing_q(self):
         with pytest.raises(ValueError, match="two distributions"):
             as_paired_source(families.uniform(8), None, 0)
+
+    def test_two_sources_refuse_a_reseed_like_one(self):
+        """``rng`` used to be dropped when both inputs were sources, so two
+        differently seeded calls returned the same verdict.  Both tasks now
+        refuse the reseed with the same error."""
+        gen = np.random.default_rng(0)
+        p = SampleSource(families.uniform(64), gen)
+        q = SampleSource(families.uniform(64), gen)
+        with pytest.raises(ValueError, match="cannot reseed an existing SampleSource"):
+            test_closeness(p, q, 4, 0.4, config=CFG, rng=5)
+        with pytest.raises(ValueError, match="cannot reseed an existing SampleSource"):
+            test_histogram(p, 4, 0.4, config=CFG, rng=5)
+        assert p.samples_drawn == q.samples_drawn == 0
 
 
 class TestClosenessTesterFacade:

@@ -52,6 +52,27 @@ def brute_force_median(pmf: np.ndarray, k: int) -> float:
     return float(best)
 
 
+def brute_force_coarse(pmf: np.ndarray, base: Partition, k: int, kept: np.ndarray) -> float:
+    """Exhaustive minimum of the Step-10 objective: every <= k-piece
+    breakpoint set on ``base``'s borders, piece height = piece mass / piece
+    length, half-l1 error summed over the kept base intervals only."""
+    borders = base.boundaries
+    big_k = len(base)
+    best = np.inf
+    for r in range(1, min(k, big_k) + 1):
+        for cuts in combinations(range(1, big_k), r - 1):
+            pieces = (0,) + cuts + (big_k,)
+            err = 0.0
+            for a, b in zip(pieces, pieces[1:]):
+                lo, hi = borders[a], borders[b]
+                height = pmf[lo:hi].sum() / (hi - lo)
+                for q in range(a, b):
+                    if kept[q]:
+                        err += np.abs(pmf[borders[q] : borders[q + 1]] - height).sum()
+            best = min(best, 0.5 * err)
+    return float(best)
+
+
 class TestExactDP:
     @given(st.integers(2, 9), st.integers(1, 5), st.integers(0, 10_000))
     @settings(max_examples=80, deadline=None)
@@ -231,6 +252,37 @@ class TestCoarseDP:
             coarse_flattening_projection(np.ones(10) / 10, base, 0)
         with pytest.raises(ValueError):
             coarse_flattening_projection(np.ones(10) / 10, base, 1, np.array([True]))
+
+
+class TestStep10BruteForce:
+    """The Step-10 check against an independent oracle.  The dense and fast
+    engines share their cost definitions, so agreeing with each other cannot
+    catch a bug in those; exhaustive enumeration can."""
+
+    @given(
+        st.lists(st.integers(1, 4), min_size=1, max_size=8),
+        st.integers(1, 4),
+        st.booleans(),
+        st.integers(0, 10_000),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_exhaustive_enumeration(self, lengths, k, flat, seed):
+        gen = np.random.default_rng(seed)
+        base = Partition(np.concatenate(([0], np.cumsum(lengths))))
+        pmf = gen.dirichlet(np.ones(base.n))
+        if flat:  # the Algorithm 1 case: D̂ is constant on each base piece
+            pmf = base.flatten(pmf)
+        kept = gen.random(len(base)) < 0.75
+        brute = brute_force_coarse(pmf, base, k, kept)
+        for engine in ("dense", "fast", "auto"):
+            projection = coarse_flattening_projection(pmf, base, k, kept, engine=engine)
+            assert projection.distance == pytest.approx(brute, abs=1e-12)
+        for tolerance in (0.0, 0.5 * brute, brute - 1e-6, brute + 1e-8, 2.0 * brute + 1e-3):
+            if tolerance < 0 or abs(tolerance - brute) < 1e-9:
+                continue  # exact ties (tol == distance == 0) are not decided here
+            for engine in ("dense", "fast", "auto"):
+                close = exists_close_histogram(pmf, base, k, kept, tolerance, engine=engine)
+                assert close == (brute <= tolerance)
 
 
 class TestExistsClose:

@@ -136,6 +136,27 @@ class TestTaskIsFingerprintBearing:
                 seed=3, task="equivalence",
             )
 
+    def test_closeness_sweep_refuses_a_backend(self):
+        """Closeness has one tester: a cdkl22 closeness sweep used to run
+        DKN17 anyway while fingerprinting ``backend="cdkl22"``."""
+        with pytest.raises(ValueError, match="takes no backend"):
+            complexity_sweep("n", VALUES, rng=3, backend="cdkl22", **SWEEP_KWARGS)
+        with pytest.raises(ValueError, match="takes no backend"):
+            SweepSpec(
+                axis="n", values=tuple(VALUES), n=400, k=4, eps=0.3, trials=3,
+                bisection_steps=2, seed=3, task="closeness", backend="cdkl22",
+            )
+
+    def test_cli_refuses_a_closeness_backend(self):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit, match="takes no backend"):
+            main([
+                "sweep", "n", "--values", "200", "--n", "200", "--k", "2",
+                "--eps", "0.45", "--trials", "2", "--bisection-steps", "1",
+                "--seed", "3", "--task", "closeness", "--backend", "cdkl22",
+            ])
+
     def test_identity_checkpoint_never_resumes_a_closeness_sweep(self, tmp_path):
         """A checkpoint written under one task is a different experiment:
         the fingerprint mismatch forces a fresh run, not a cross-resume."""

@@ -4,9 +4,9 @@ Regression net for the bug this PR fixes: ``StreamSession.start_attempt``
 used to hard-code the pipeline construction, so a request's ``backend``
 field silently ran pods16.  Covers the full path — request validation,
 session → pipeline threading, mixed-backend batch grouping (same-shape
-sessions on *different* backends must not share a kernel group), the
-escalation redraw loop inside a service round, and the cdkl22 projection
-fault → dense fallback → DEGRADED path.
+sessions on different backends share one kernel group, bit-identically to
+each computed alone), the escalation redraw loop inside a service round,
+and the cdkl22 projection fault → dense fallback → DEGRADED path.
 """
 
 from dataclasses import replace
@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from repro.core.backends import BACKENDS
+from repro.core.chi2 import median_interval_statistics
 from repro.core.config import TesterConfig
+from repro.core.tester import TesterPipeline
 from repro.distributions.discrete import DiscreteDistribution
 from repro.observability.metrics import get_metrics
 from repro.serve import ChaosConfig, ServiceConfig, TesterService, build_requests
@@ -75,29 +77,38 @@ class TestBackendThreading:
 
 class TestMixedBatchGrouping:
     def _item(self, backend, seed):
-        rng = np.random.default_rng(seed)
-        n, repeats = 32, 3
-        pmf = rng.dirichlet(np.ones(n))
-        from repro.util.intervals import Partition
-
-        boundaries = np.array([0, 8, 16, 24, 32])
-        return FinalBatchItem(
-            counts=rng.poisson(50.0 * pmf, size=(repeats, n)).astype(np.float64),
-            m=50.0,
-            reference_pmf=pmf,
-            mask=np.ones(n, dtype=bool),
-            partition=Partition(boundaries),
-            backend=backend,
+        """A real pending final test: a pipeline run up to the chi2 stage."""
+        pipeline = TesterPipeline(
+            DiscreteDistribution.uniform(N), K, EPS, config=CONFIG, rng=seed, backend=backend
         )
+        assert pipeline.run_to_final() is None
+        plan = pipeline.final_plan
+        counts = pipeline.draw_final_counts()
+        item = FinalBatchItem(
+            counts=counts,
+            m=plan.m,
+            reference_pmf=plan.reference_pmf,
+            mask=plan.mask,
+            partition=pipeline.partition,
+        )
+        serial = median_interval_statistics(
+            counts, plan.m, plan.reference_pmf, pipeline.partition, plan.mask
+        )
+        return item, serial
 
     def test_mixed_backends_match_singleton_path_bitwise(self):
-        """Same-shape items on different backends are separate kernel groups;
-        either way every statistic must equal its singleton computation."""
-        items = [self._item(BACKENDS[i % len(BACKENDS)], seed=i) for i in range(6)]
+        """pods16 and cdkl22 plans of one shape share a kernel group; every
+        batched statistic must still equal its singleton computation (and
+        the pipeline's serial statistics) bit for bit."""
+        built = [self._item(BACKENDS[i % len(BACKENDS)], seed=i) for i in range(6)]
+        items = [item for item, _ in built]
+        assert len({item.counts.shape for item in items}) == 1
+        assert not np.array_equal(items[0].reference_pmf, items[1].reference_pmf)
         batched = compute_final_statistics(items)
-        for item, z in zip(items, batched):
+        for (item, serial), z in zip(built, batched):
             (alone,) = compute_final_statistics([item])
             np.testing.assert_array_equal(z, alone)
+            np.testing.assert_array_equal(z, serial)
 
     def test_mixed_chaos_drill_replays_byte_identically(self):
         def run():
